@@ -52,8 +52,8 @@ def _parse_pulses(text: str) -> float:
         value = float(text)
     except ValueError as exc:
         raise ConfigError(f"--n-pulses: not a number: {text!r}") from exc
-    if value <= 0:
-        raise ConfigError(f"--n-pulses: must be > 0, got {text}")
+    if not math.isfinite(value) or value <= 0:
+        raise ConfigError(f"--n-pulses: must be finite and > 0 (or inf), got {text}")
     return value
 
 
@@ -92,9 +92,7 @@ def _cmd_point(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     scenario = _load_scenario(args)
-    rows = sweep.sweep_distance(
-        scenario, args.l_min, args.l_max, args.step, parallel=args.parallel
-    )
+    rows = sweep.sweep_distance(scenario, args.l_min, args.l_max, args.step)
     _write_output(args.out, lambda stream: sweep.emit_csv(rows, stream))
     if args.plotdata is not None:
         _write_output(args.plotdata, lambda stream: sweep.emit_plotdata(rows, stream))
@@ -152,7 +150,13 @@ def build_parser() -> _Parser:
     sweep_cmd.add_argument("--l-min", type=float, default=0.0, metavar="KM")
     sweep_cmd.add_argument("--l-max", type=float, required=True, metavar="KM")
     sweep_cmd.add_argument("--step", type=float, default=5.0, metavar="KM")
-    sweep_cmd.add_argument("--parallel", type=int, default=1, metavar="K")
+    sweep_cmd.add_argument(
+        "--parallel",
+        type=int,
+        default=1,
+        metavar="K",
+        help="accepted for compatibility; points are evaluated in one process",
+    )
     sweep_cmd.add_argument("--out", metavar="PATH")
     sweep_cmd.add_argument("--plotdata", metavar="PATH")
     sweep_cmd.set_defaults(handler=_cmd_sweep)

@@ -17,8 +17,10 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from . import fluctuation
+from . import fluctuation, physics
 from .errors import ComputationError, DomainError, NoKeyError
+from .fluctuation import ChernoffApplicability
+from .physics import ChannelPoint, FrameParams, PhysicalParams
 
 __all__ = [
     "TWO_DECOY",
@@ -29,12 +31,12 @@ __all__ = [
     "VacuumYieldBounds",
     "DecoyBounds",
     "multiplier_forward",
+    "expected_stats",
     "vacuum_yield_bounds",
     "single_pair_yield_lower",
     "single_pair_fraction_lower_two",
     "single_pair_fraction_lower_single",
-    "excess_noise_upper_two",
-    "excess_noise_upper_single",
+    "excess_noise_upper",
     "attach_fluctuation",
     "estimate_bounds",
 ]
@@ -222,6 +224,38 @@ def multiplier_forward(k_lambda: float, zeta_x: float, delta_phi_x: float) -> fl
     return k_lambda * (1.0 + zeta_x) + (1.0 - k_lambda) * delta_phi_x
 
 
+def expected_stats(
+    intensities: IntensityConfig,
+    phys: PhysicalParams,
+    frame: FrameParams,
+    channel: ChannelPoint,
+    zeta: float,
+    delta_phi: float,
+) -> dict[str, IntensityStats]:
+    """Model expectation of the measured statistics at one channel point.
+
+    Each intensity's postselection probability is the closed-form value
+    (interval ends degenerate until a fluctuation method is attached);
+    its average multipliers come from :func:`multiplier_forward` at the
+    true single-pair fraction ``lam e^{-lam} gamma_1 / p_post`` with the
+    excess-noise factor ``zeta`` in both correlation bases.
+    """
+    gamma1 = physics.pair_yield(
+        1, phys.eta_alice, phys.eta_bob, channel.eta_t, frame.p_d
+    )
+    stats: dict[str, IntensityStats] = {}
+    for role, lam, _p_sel in intensities.roles():
+        p_post = physics.postselection_prob_closed(
+            lam, phys.eta_alice, phys.eta_bob, channel.eta_t, frame.p_d
+        )
+        k_true = lam * math.exp(-lam) * gamma1 / p_post if p_post > 0.0 else 0.0
+        phi = multiplier_forward(min(k_true, 1.0), zeta, delta_phi)
+        stats[role] = IntensityStats(
+            p_post=p_post, p_minus=p_post, p_plus=p_post, phi_t=phi, phi_w=phi
+        )
+    return stats
+
+
 def vacuum_yield_bounds(
     stats: MeasuredStats, v1: float, v2: float, p_d: float
 ) -> VacuumYieldBounds:
@@ -355,31 +389,29 @@ def _excess_noise_from_branches(
     kmu_lb: float,
     basis: str,
     cap: float,
-    pairwise: bool,
 ) -> float:
-    """Shared branch evaluation for the excess-noise upper bounds.
+    """Branch evaluation of one excess-noise upper bound.
 
     ``entries`` holds (intensity, stats) pairs sorted descending by
     intensity.  The pairwise route differences two intensities; the
     direct route uses a single one (vacuum is skipped there).
     """
     candidates: list[float] = []
-    if pairwise:
-        for i in range(len(entries)):
-            for j in range(i + 1, len(entries)):
-                lam1, s1 = entries[i]
-                lam2, s2 = entries[j]
-                if lam1 <= lam2:
-                    continue
-                candidates.append(
-                    mu
-                    * math.exp(-mu)
-                    / ((lam1 - lam2) * kmu_lb)
-                    * (
-                        s1.phi(basis) * s1.p_plus * math.exp(lam1) / p_mu_plus
-                        - s2.phi(basis) * s2.p_minus * math.exp(lam2) / p_mu_plus
-                    )
+    for i in range(len(entries)):
+        for j in range(i + 1, len(entries)):
+            lam1, s1 = entries[i]
+            lam2, s2 = entries[j]
+            if lam1 <= lam2:
+                continue
+            candidates.append(
+                mu
+                * math.exp(-mu)
+                / ((lam1 - lam2) * kmu_lb)
+                * (
+                    s1.phi(basis) * s1.p_plus * math.exp(lam1) / p_mu_plus
+                    - s2.phi(basis) * s2.p_minus * math.exp(lam2) / p_mu_plus
                 )
+            )
     for lam, s in entries:
         if lam <= 0.0:
             continue
@@ -401,21 +433,19 @@ def _excess_noise_from_branches(
     return bound
 
 
-def excess_noise_upper_two(
+def excess_noise_upper(
     stats: MeasuredStats,
-    mu: float,
-    v1: float,
-    v2: float,
+    intensities: IntensityConfig,
     kmu_lb: float,
     *,
     cap: float = EXCESS_NOISE_CAP,
 ) -> tuple[float, float]:
-    """Upper-bound both excess-noise factors in two-decoy mode.
+    """Upper-bound both excess-noise factors.
 
-    Minimizes, per correlation basis, over every ordered intensity pair
-    and over every single-intensity route (vacuum excluded from the
-    latter), then subtracts the unit baseline.  A vanishing single-pair
-    fraction certifies nothing and signals "no key".
+    Minimizes, per correlation basis, over every ordered pair of the
+    configured intensities and over every single-intensity route (vacuum
+    excluded from the latter), then subtracts the unit baseline.  A
+    vanishing single-pair fraction certifies nothing and signals "no key".
     """
     if kmu_lb <= 0.0:
         raise NoKeyError("single-pair fraction bound is 0; no key can be certified")
@@ -423,37 +453,12 @@ def excess_noise_upper_two(
     if s_mu.p_plus <= 0.0:
         raise NoKeyError("no signal postselection events; no key can be certified")
     entries = sorted(
-        [(mu, s_mu), (v1, stats["v1"]), (v2, stats["v2"])],
+        ((lam, stats[role]) for role, lam, _p in intensities.roles()),
         key=lambda e: -e[0],
     )
     return tuple(
         _excess_noise_from_branches(
-            entries, mu, s_mu.p_plus, kmu_lb, basis, cap, pairwise=True
-        )
-        for basis in ("t", "w")
-    )
-
-
-def excess_noise_upper_single(
-    stats: MeasuredStats,
-    mu: float,
-    v: float,
-    kmu_lb: float,
-    *,
-    cap: float = EXCESS_NOISE_CAP,
-) -> tuple[float, float]:
-    """Single-decoy counterpart of :func:`excess_noise_upper_two`."""
-    if not mu > v > 0.0:
-        raise DomainError(f"requires mu > v > 0, got mu={mu}, v={v}")
-    if kmu_lb <= 0.0:
-        raise NoKeyError("single-pair fraction bound is 0; no key can be certified")
-    s_mu = stats["mu"]
-    if s_mu.p_plus <= 0.0:
-        raise NoKeyError("no signal postselection events; no key can be certified")
-    entries = [(mu, s_mu), (v, stats["v"])]
-    return tuple(
-        _excess_noise_from_branches(
-            entries, mu, s_mu.p_plus, kmu_lb, basis, cap, pairwise=True
+            entries, intensities.mu, s_mu.p_plus, kmu_lb, basis, cap
         )
         for basis in ("t", "w")
     )
@@ -468,13 +473,17 @@ def attach_fluctuation(
     method: str,
     *,
     enforce_applicability: bool = True,
-) -> dict[str, IntensityStats]:
+) -> tuple[dict[str, IntensityStats], dict[str, ChernoffApplicability]]:
     """Replace the interval ends of measured stats with method-derived ones.
 
     The centers and multipliers are preserved; only ``p_minus`` and
     ``p_plus`` are recomputed for the chosen concentration method.
+    Returns the adjusted stats and, by role, every failed precondition
+    check of the multiplicative bound (empty unless
+    ``enforce_applicability`` is false).
     """
     adjusted: dict[str, IntensityStats] = {}
+    failed: dict[str, ChernoffApplicability] = {}
     for role, _lam, p_sel in intensities.roles():
         s = stats[role]
         iv = fluctuation.interval(
@@ -486,6 +495,8 @@ def attach_fluctuation(
             method,
             enforce_applicability=enforce_applicability,
         )
+        if iv.applicability is not None and not iv.applicability.ok:
+            failed[role] = iv.applicability
         adjusted[role] = IntensityStats(
             p_post=s.p_post,
             p_minus=iv.p_minus,
@@ -493,7 +504,7 @@ def attach_fluctuation(
             phi_t=s.phi_t,
             phi_w=s.phi_w,
         )
-    return adjusted
+    return adjusted, failed
 
 
 def estimate_bounds(
@@ -529,14 +540,7 @@ def estimate_bounds(
             kmu_lb * stats["mu"].p_plus * math.exp(mu) / mu
         )
     try:
-        if intensities.mode == TWO_DECOY:
-            zeta_t_ub, zeta_w_ub = excess_noise_upper_two(
-                stats, mu, intensities.v1, intensities.v2, kmu_lb, cap=cap
-            )
-        else:
-            zeta_t_ub, zeta_w_ub = excess_noise_upper_single(
-                stats, mu, intensities.v1, kmu_lb, cap=cap
-            )
+        zeta_t_ub, zeta_w_ub = excess_noise_upper(stats, intensities, kmu_lb, cap=cap)
     except NoKeyError:
         zeta_t_ub = zeta_w_ub = math.inf
     return DecoyBounds(

@@ -28,7 +28,6 @@ __all__ = [
     "chernoff_deltas",
     "chernoff_applicable",
     "interval",
-    "epsilon_total",
 ]
 
 METHODS = ("hoeffding", "chernoff", "exact")
@@ -68,20 +67,20 @@ class EpsilonBudget:
         return self.eps_pe + self.eps_ec + self.eps_bar + self.eps_pa
 
 
-def epsilon_total(budget: EpsilonBudget) -> float:
-    """Total protocol failure probability (the sum of the components)."""
-    return budget.total
-
-
 @dataclass(frozen=True)
 class FluctuationInterval:
-    """Confidence interval around a measured postselection probability."""
+    """Confidence interval around a measured postselection probability.
+
+    ``applicability`` is the multiplicative bound's precondition check
+    for a finite-sample ``chernoff`` interval, and ``None`` otherwise.
+    """
 
     p_center: float
     p_minus: float
     p_plus: float
     method: str
     n_frames: float
+    applicability: ChernoffApplicability | None = None
 
     def __post_init__(self) -> None:
         if self.method not in METHODS:
@@ -254,7 +253,8 @@ def interval(
     interval.  When the multiplicative bound's preconditions fail, a
     :class:`ChernoffInapplicableError` carrying the diagnostics is raised
     unless ``enforce_applicability`` is false, in which case the stated
-    widths are used anyway (callers are expected to flag this).
+    widths are used anyway and the failed check rides on the interval's
+    ``applicability`` (callers are expected to flag this).
     """
     if method not in METHODS:
         raise DomainError(f"unknown method {method!r}")
@@ -274,6 +274,7 @@ def interval(
             "estimation impossible: no estimation frames "
             f"(p_lambda={p_lambda}, p_t={p_t}, n_pulses={n_pulses})"
         )
+    check = None
     if method == "hoeffding":
         delta = hoeffding_delta(n_frames, eps_pe)
         delta_plus = delta_minus = delta
@@ -292,4 +293,5 @@ def interval(
         p_plus=min(1.0, p_center + delta_plus),
         method=method,
         n_frames=n_frames,
+        applicability=check,
     )

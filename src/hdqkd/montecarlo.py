@@ -19,7 +19,7 @@ from typing import Mapping
 import numpy as np
 
 from . import fluctuation, physics
-from .decoy import IntensityConfig, IntensityStats, multiplier_forward
+from .decoy import IntensityConfig, IntensityStats, expected_stats
 from .errors import ConfigError, DomainError, EstimationImpossibleError
 from .physics import ChannelPoint, FrameParams, PhysicalParams
 
@@ -173,29 +173,26 @@ def empirical_stats(
 
     The postselection probabilities are the empirical estimation-basis
     values (interval ends degenerate until a fluctuation method is
-    attached).  The average multipliers are synthesized through the
-    forward model from the configured channel's true single-pair
-    fraction, since the simulator knows the ground truth and no
-    microscopic timing model is simulated.
+    attached).  The average multipliers are those of
+    :func:`~hdqkd.decoy.expected_stats` at the configured channel, since
+    the simulator knows the ground truth and no microscopic timing model
+    is simulated.
     """
     config = tally.config
-    gamma1 = physics.pair_yield(
-        1,
-        config.phys.eta_alice,
-        config.phys.eta_bob,
-        config.channel.eta_t,
-        config.frame.p_d,
+    roles = config.intensities.roles()
+    p_hat = {role: tally.empirical_p(role) for role, _lam, _p in roles}
+    expected = expected_stats(
+        config.intensities,
+        config.phys,
+        config.frame,
+        config.channel,
+        eve_zeta,
+        delta_phi,
     )
-    stats: dict[str, IntensityStats] = {}
-    for role, lam, _p in config.intensities.roles():
-        p_hat = tally.empirical_p(role)
-        p_true = config.analytic_postselection(role)
-        k_true = lam * math.exp(-lam) * gamma1 / p_true if p_true > 0.0 else 0.0
-        phi = multiplier_forward(min(k_true, 1.0), eve_zeta, delta_phi)
-        stats[role] = IntensityStats(
-            p_post=p_hat, p_minus=p_hat, p_plus=p_hat, phi_t=phi, phi_w=phi
-        )
-    return stats
+    return {
+        role: replace(s, p_post=p_hat[role], p_minus=p_hat[role], p_plus=p_hat[role])
+        for role, s in expected.items()
+    }
 
 
 def _trial_covered(

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .decoy import SINGLE_DECOY, TWO_DECOY, IntensityConfig
 from .errors import ConfigError, DomainError, SecurityModelError
@@ -108,7 +109,7 @@ class Scenario:
         if self.delta_phi < 0.0:
             raise ConfigError(f"delta_phi must be >= 0, got {self.delta_phi}")
 
-    @property
+    @cached_property
     def frame(self) -> FrameParams:
         return FrameParams.from_physical(self.phys)
 
@@ -265,9 +266,19 @@ def _merge(
 
 def _to_float(section: str, key: str, value: str) -> float:
     try:
-        return float(value)
+        number = float(value)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key}: not a number: {value!r}") from exc
+    if not math.isfinite(number):
+        raise ConfigError(f"[{section}] {key}: must be finite, got {value!r}")
+    return number
+
+
+def _to_int(section: str, key: str, value: str) -> int:
+    try:
+        return int(value)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {key}: not an integer: {value!r}") from exc
 
 
 def _parse_ratios(value: str, mode: str) -> tuple[float, float]:
@@ -301,7 +312,7 @@ def build_scenario(
             r_dc=_to_float("physical", "r_dc", phys_raw["r_dc"]),
             delta_j=_to_float("physical", "delta_j", phys_raw["delta_j"]),
             delta_coh=_to_float("physical", "delta_coh", phys_raw["delta_coh"]),
-            schmidt_d=int(float(phys_raw["schmidt_d"])),
+            schmidt_d=_to_int("physical", "schmidt_d", phys_raw["schmidt_d"]),
             delta_delta=_to_float("physical", "delta_delta", phys_raw["delta_delta"]),
         )
     except DomainError as exc:

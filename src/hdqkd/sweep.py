@@ -5,7 +5,8 @@ postselection probabilities, fluctuation intervals of the configured
 method, decoy-state bounds, worst-case security quantities and the
 finite-size capacity.  The "measured" statistics of a sweep are the
 model expectations (expected values plus fluctuation allowances); the
-Monte Carlo path is a separate validation tool.
+Monte Carlo path is a separate validation tool.  Points are evaluated
+one after another in the calling process.
 
 When the multiplicative bound's preconditions fail for an intensity,
 the sweep proceeds with the stated widths and annotates the row's
@@ -16,17 +17,10 @@ from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import IO, Iterable
 
-from . import fluctuation, physics
-from .decoy import (
-    IntensityStats,
-    attach_fluctuation,
-    estimate_bounds,
-    multiplier_forward,
-)
+from .decoy import attach_fluctuation, estimate_bounds, expected_stats
 from .errors import ChernoffInapplicableError, DomainError
 from .keyrate import finite_key_terms, secure_key_capacity
 from .physics import ChannelPoint
@@ -94,102 +88,72 @@ def run_point(
     frame = scenario.frame
     channel = ChannelPoint.from_length(phys.alpha, length_km)
     method = _effective_method(scenario)
-    eps_pe = scenario.budget.eps_pe
-
-    gamma1 = physics.pair_yield(
-        1, phys.eta_alice, phys.eta_bob, channel.eta_t, frame.p_d
-    )
-    unchecked: list[str] = []
-    raw_stats: dict[str, IntensityStats] = {}
-    for role, lam, p_sel in scenario.intensities.roles():
-        p_post = physics.postselection_prob_closed(
-            lam, phys.eta_alice, phys.eta_bob, channel.eta_t, frame.p_d
-        )
-        k_true = lam * math.exp(-lam) * gamma1 / p_post if p_post > 0.0 else 0.0
-        phi = multiplier_forward(min(k_true, 1.0), frame.zeta, scenario.delta_phi)
-        if method == "chernoff":
-            frames = fluctuation.frames_for_estimation(
-                p_sel, scenario.p_t, scenario.n_pulses
-            )
-            check = fluctuation.chernoff_applicable(p_post * frames, frames, eps_pe)
-            if not check.ok:
-                if strict_chernoff:
-                    raise ChernoffInapplicableError(
-                        f"multiplicative bound inapplicable for intensity "
-                        f"{role!r} at {length_km} km: {check.reason}",
-                        diagnostics=check,
-                    )
-                unchecked.append(role)
-        raw_stats[role] = IntensityStats(
-            p_post=p_post, p_minus=p_post, p_plus=p_post, phi_t=phi, phi_w=phi
-        )
-    stats = attach_fluctuation(
-        raw_stats,
+    stats, failed = attach_fluctuation(
+        expected_stats(
+            scenario.intensities, phys, frame, channel, frame.zeta, scenario.delta_phi
+        ),
         scenario.intensities,
         scenario.p_t,
         scenario.n_pulses,
-        eps_pe,
+        scenario.budget.eps_pe,
         method,
         enforce_applicability=False,
     )
+    if failed:
+        if strict_chernoff:
+            role, check = next(iter(failed.items()))
+            raise ChernoffInapplicableError(
+                f"multiplicative bound inapplicable for intensity "
+                f"{role!r} at {length_km} km: {check.reason}",
+                diagnostics=check,
+            )
+        method = f"{method}(unchecked:{';'.join(failed)})"
     bounds = estimate_bounds(stats, scenario.intensities, frame.p_d)
 
-    method_label = method
-    if unchecked:
-        method_label = f"{method}(unchecked:{';'.join(unchecked)})"
-
-    ec, pa, smooth = finite_key_terms(
-        scenario.intensities.p_mu,
-        scenario.p_t,
-        scenario.n_pulses,
-        phys.schmidt_d,
-        scenario.budget,
-    )
     if bounds.no_key:
-        return ResultRow(
-            length_km=length_km,
-            n_pulses=scenario.n_pulses,
-            method=method_label,
-            delta_i=-math.inf,
-            r_hd=-math.inf,
-            kmu_lb=bounds.kmu_lb,
-            zeta_t_ub=bounds.zeta_t_ub,
-            zeta_w_ub=bounds.zeta_w_ub,
-            ec_term=ec,
-            pa_term=pa,
-            smooth_term=smooth,
-            positive=False,
+        delta_i = r_hd = -math.inf
+        positive = False
+        ec, pa, smooth = finite_key_terms(
+            scenario.intensities.p_mu,
+            scenario.p_t,
+            scenario.n_pulses,
+            phys.schmidt_d,
+            scenario.budget,
         )
-    sq = scenario.security_model.quantities(
-        phys.schmidt_d,
-        phys.delta_coh,
-        frame.delta_cor,
-        bounds.zeta_t_ub,
-        bounds.zeta_w_ub,
-    )
-    result = secure_key_capacity(
-        scenario.beta,
-        sq,
-        bounds.kmu_lb,
-        scenario.intensities.p_mu,
-        scenario.p_t,
-        scenario.n_pulses,
-        phys.schmidt_d,
-        scenario.budget,
-    )
+    else:
+        sq = scenario.security_model.quantities(
+            phys.schmidt_d,
+            phys.delta_coh,
+            frame.delta_cor,
+            bounds.zeta_t_ub,
+            bounds.zeta_w_ub,
+        )
+        result = secure_key_capacity(
+            scenario.beta,
+            sq,
+            bounds.kmu_lb,
+            scenario.intensities.p_mu,
+            scenario.p_t,
+            scenario.n_pulses,
+            phys.schmidt_d,
+            scenario.budget,
+        )
+        delta_i, r_hd, positive = result.delta_i, result.r_hd, result.positive
+        terms = result.terms
+        ec, pa, smooth = terms.ec_term, terms.pa_term, terms.smooth_term
     return ResultRow(
         length_km=length_km,
         n_pulses=scenario.n_pulses,
-        method=method_label,
-        delta_i=result.delta_i,
-        r_hd=result.r_hd,
+        method=method,
+        delta_i=delta_i,
+        r_hd=r_hd,
         kmu_lb=bounds.kmu_lb,
         zeta_t_ub=bounds.zeta_t_ub,
         zeta_w_ub=bounds.zeta_w_ub,
-        ec_term=result.terms.ec_term,
-        pa_term=result.terms.pa_term,
-        smooth_term=result.terms.smooth_term,
-        positive=result.positive,
+        ec_term=ec,
+        pa_term=pa,
+        smooth_term=smooth,
+        positive=positive,
     )
 
 
@@ -207,24 +171,13 @@ def sweep_distance(
     l_min: float,
     l_max: float,
     step: float,
-    *,
-    parallel: int = 1,
 ) -> list[ResultRow]:
-    """Evaluate a distance grid, optionally across worker processes.
+    """Evaluate a distance grid in ascending length order.
 
-    Points are independent; results are returned in ascending length
-    order regardless of worker scheduling, so output is deterministic.
+    Points are evaluated one after another in the calling process, so
+    the output is deterministic.
     """
-    lengths = _grid(l_min, l_max, step)
-    if parallel <= 1 or len(lengths) <= 1:
-        return [run_point(scenario, length) for length in lengths]
-    with ProcessPoolExecutor(max_workers=parallel) as pool:
-        return list(pool.map(_point_task, ((scenario, length) for length in lengths)))
-
-
-def _point_task(args: tuple[Scenario, float]) -> ResultRow:
-    scenario, length = args
-    return run_point(scenario, length)
+    return [run_point(scenario, length) for length in _grid(l_min, l_max, step)]
 
 
 def max_distance(scenario: Scenario, *, tol_km: float = 0.1) -> float:

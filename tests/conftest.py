@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from hdqkd.decoy import IntensityConfig, IntensityStats, multiplier_forward
+from hdqkd.decoy import IntensityConfig, IntensityStats, expected_stats
 from hdqkd.physics import (
     ChannelPoint,
     FrameParams,
@@ -25,24 +25,12 @@ def exact_stats(
 ) -> dict[str, IntensityStats]:
     """Zero-fluctuation measured statistics from the analytic model.
 
-    Interval ends coincide with the analytic postselection probability;
-    multipliers come from the forward model at the true single-pair
-    fraction of the configured channel.
+    The model expectation at the channel of ``length_km``, with the
+    frame's own excess noise unless ``zeta`` is given.
     """
     channel = ChannelPoint.from_length(phys.alpha, length_km)
     z = frame.zeta if zeta is None else zeta
-    gamma1 = pair_yield(1, phys.eta_alice, phys.eta_bob, channel.eta_t, frame.p_d)
-    stats = {}
-    for role, lam, _p in cfg.roles():
-        p = postselection_prob_closed(
-            lam, phys.eta_alice, phys.eta_bob, channel.eta_t, frame.p_d
-        )
-        k = lam * math.exp(-lam) * gamma1 / p if p > 0.0 else 0.0
-        phi = multiplier_forward(min(k, 1.0), z, delta_phi)
-        stats[role] = IntensityStats(
-            p_post=p, p_minus=p, p_plus=p, phi_t=phi, phi_w=phi
-        )
-    return stats
+    return expected_stats(cfg, phys, frame, channel, z, delta_phi)
 
 
 def true_quantities(

@@ -97,6 +97,25 @@ class TestExitCodes:
         assert result.returncode == 2
         assert "computation error" in result.stderr
 
+    @pytest.mark.parametrize(
+        "document, extra, key",
+        [
+            ("[physical]\nschmidt_d = 8.5\n", (), "[physical] schmidt_d"),
+            ("[protocol]\nn_pulses = nan\n", (), "[protocol] n_pulses"),
+            ("[physical]\nalpha = nan\n", (), "[physical] alpha"),
+            ("", ("--n-pulses", "nan"), "--n-pulses"),
+        ],
+    )
+    def test_non_finite_or_non_integer_value(self, tmp_path, document, extra, key):
+        config = tmp_path / "scenario.cfg"
+        config.write_text(document)
+        result = run_cli(
+            "point", "--config", str(config), "--length", "10", *extra
+        )
+        assert result.returncode == 1
+        assert key in result.stderr
+        assert result.stdout == ""
+
     def test_io_error(self):
         result = run_cli(
             "point",

@@ -14,8 +14,7 @@ from hdqkd.decoy import (
     IntensityStats,
     attach_fluctuation,
     estimate_bounds,
-    excess_noise_upper_single,
-    excess_noise_upper_two,
+    excess_noise_upper,
     multiplier_forward,
     single_pair_fraction_lower_single,
     single_pair_fraction_lower_two,
@@ -282,7 +281,7 @@ class TestExcessNoiseUpper:
             kmu = single_pair_fraction_lower_two(
                 stats, TWO.mu, TWO.v1, TWO.v2, g0.lower, g0.upper
             )
-            zt, zw = excess_noise_upper_two(stats, TWO.mu, TWO.v1, TWO.v2, kmu)
+            zt, zw = excess_noise_upper(stats, TWO, kmu)
             assert zt >= default_frame.zeta - 1e-15
             assert zw == zt  # symmetric inputs
 
@@ -291,14 +290,14 @@ class TestExcessNoiseUpper:
         # bound lands on zero.
         stats = exact_stats(TWO, default_phys, default_frame, 0.0, zeta=0.0)
         _, k_true = true_quantities(TWO, default_phys, default_frame, 0.0)
-        zt, zw = excess_noise_upper_two(stats, TWO.mu, TWO.v1, TWO.v2, k_true)
+        zt, zw = excess_noise_upper(stats, TWO, k_true)
         assert zt == pytest.approx(0.0, abs=1e-12)
         assert zw == pytest.approx(0.0, abs=1e-12)
 
     def test_single_noiseless_self_consistency(self, default_phys, default_frame):
         stats = exact_stats(SINGLE, default_phys, default_frame, 0.0, zeta=0.0)
         _, k_true = true_quantities(SINGLE, default_phys, default_frame, 0.0)
-        zt, _ = excess_noise_upper_single(stats, SINGLE.mu, SINGLE.v1, k_true)
+        zt, _ = excess_noise_upper(stats, SINGLE, k_true)
         assert zt == pytest.approx(0.0, abs=1e-12)
 
     def test_single_not_tighter_than_two(self, default_phys, default_frame):
@@ -312,8 +311,8 @@ class TestExcessNoiseUpper:
             k_s = single_pair_fraction_lower_single(
                 stats_s, SINGLE.mu, SINGLE.v1, default_frame.p_d
             )
-            zt_t, _ = excess_noise_upper_two(stats_t, TWO.mu, TWO.v1, TWO.v2, k_t)
-            zt_s, _ = excess_noise_upper_single(stats_s, SINGLE.mu, SINGLE.v1, k_s)
+            zt_t, _ = excess_noise_upper(stats_t, TWO, k_t)
+            zt_s, _ = excess_noise_upper(stats_s, SINGLE, k_s)
             assert zt_s >= zt_t - 1e-15
 
     def test_raising_signal_multiplier_raises_bound(
@@ -321,41 +320,41 @@ class TestExcessNoiseUpper:
     ):
         stats = exact_stats(TWO, default_phys, default_frame, 0.0)
         _, k_true = true_quantities(TWO, default_phys, default_frame, 0.0)
-        zt0, _ = excess_noise_upper_two(stats, TWO.mu, TWO.v1, TWO.v2, k_true)
+        zt0, _ = excess_noise_upper(stats, TWO, k_true)
         s = stats["mu"]
         bumped = dict(stats)
         bumped["mu"] = IntensityStats(
             s.p_post, s.p_minus, s.p_plus, s.phi_t * 1.05, s.phi_w
         )
-        zt1, zw1 = excess_noise_upper_two(bumped, TWO.mu, TWO.v1, TWO.v2, k_true)
+        zt1, zw1 = excess_noise_upper(bumped, TWO, k_true)
         assert zt1 >= zt0
         assert zw1 == pytest.approx(zt0, rel=1e-12)  # other basis untouched
 
     def test_monotone_in_width(self, default_phys, default_frame):
         stats = exact_stats(TWO, default_phys, default_frame, 40.0)
         _, k_true = true_quantities(TWO, default_phys, default_frame, 40.0)
-        prev, _ = excess_noise_upper_two(stats, TWO.mu, TWO.v1, TWO.v2, k_true)
+        prev, _ = excess_noise_upper(stats, TWO, k_true)
         for width in (1e-6, 1e-5, 1e-4):
             wide = widen_all(stats, width, width)
-            zt, _ = excess_noise_upper_two(wide, TWO.mu, TWO.v1, TWO.v2, k_true)
+            zt, _ = excess_noise_upper(wide, TWO, k_true)
             assert zt >= prev - 1e-15
             prev = zt
 
     def test_zero_fraction_means_no_key(self, default_phys, default_frame):
         stats = exact_stats(TWO, default_phys, default_frame, 0.0)
         with pytest.raises(NoKeyError):
-            excess_noise_upper_two(stats, TWO.mu, TWO.v1, TWO.v2, 0.0)
+            excess_noise_upper(stats, TWO, 0.0)
 
     def test_cap_exceeded_means_no_key(self, default_phys, default_frame):
         stats = exact_stats(TWO, default_phys, default_frame, 0.0)
         with pytest.raises(NoKeyError):
-            excess_noise_upper_two(stats, TWO.mu, TWO.v1, TWO.v2, 1e-9)
+            excess_noise_upper(stats, TWO, 1e-9)
 
     def test_oracle_pairwise_branch(self, default_phys, default_frame):
         # One pair (signal, strong decoy) evaluated independently.
         stats = exact_stats(SINGLE, default_phys, default_frame, 15.0)
         _, k_true = true_quantities(SINGLE, default_phys, default_frame, 15.0)
-        zt, _ = excess_noise_upper_single(stats, SINGLE.mu, SINGLE.v1, k_true)
+        zt, _ = excess_noise_upper(stats, SINGLE, k_true)
         mu, v = mp.mpf(SINGLE.mu), mp.mpf(SINGLE.v1)
         k = mp.mpf(k_true)
         phi_mu = mp.mpf(stats["mu"].phi_t)
@@ -395,9 +394,10 @@ class TestEstimateBounds:
 
     def test_attach_fluctuation_roundtrip(self, default_phys, default_frame):
         stats = exact_stats(TWO, default_phys, default_frame, 10.0)
-        adjusted = attach_fluctuation(
+        adjusted, failed = attach_fluctuation(
             stats, TWO, 0.5, 1e12, 1e-10, "hoeffding"
         )
+        assert failed == {}
         for role, _lam, p_sel in TWO.roles():
             width = math.sqrt(
                 math.log(2.0 / 1e-10) / (2.0 * p_sel * 0.25 * 1e12)

@@ -18,7 +18,6 @@ from hdqkd.fluctuation import (
     FluctuationInterval,
     chernoff_applicable,
     chernoff_deltas,
-    epsilon_total,
     frames_for_estimation,
     hoeffding_delta,
     interval,
@@ -257,11 +256,11 @@ class TestSoundnessAtOperatingPoints:
 
 class TestEpsilonBudget:
     def test_defaults_total(self):
-        assert epsilon_total(EpsilonBudget()) == pytest.approx(4e-10, rel=1e-12)
+        assert EpsilonBudget().total == pytest.approx(4e-10, rel=1e-12)
 
     def test_mixed_components(self):
         budget = EpsilonBudget(1e-10, 1e-10, 1e-9, 1e-9)
-        assert epsilon_total(budget) == pytest.approx(2.2e-9, rel=1e-12)
+        assert budget.total == pytest.approx(2.2e-9, rel=1e-12)
 
     def test_component_range(self):
         with pytest.raises(DomainError):

@@ -179,7 +179,7 @@ class TestStatisticalSoundness:
         failures = 0
         for trial in range(sessions):
             tally = simulate_session(replace(config, seed=config.seed ^ trial))
-            stats = attach_fluctuation(
+            stats, _ = attach_fluctuation(
                 empirical_stats(tally, zeta_true, 0.0),
                 config.intensities,
                 config.p_t,

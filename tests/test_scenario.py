@@ -122,6 +122,21 @@ class TestParsing:
         with pytest.raises(ConfigError, match="physical"):
             parse_config("[physical]\neta_alice = 1.5\n")
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("[physical]\nschmidt_d = 8.5\n", "[physical] schmidt_d"),
+            ("[protocol]\nn_pulses = nan\n", "[protocol] n_pulses"),
+            ("[protocol]\nn_pulses = -inf\n", "[protocol] n_pulses"),
+            ("[physical]\nalpha = nan\n", "[physical] alpha"),
+            ("[protocol]\nmu = inf\n", "[protocol] mu"),
+        ],
+    )
+    def test_non_finite_and_non_integer_rejected(self, text, key):
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert key in str(err.value)
+
 
 class TestSecurityModelSelection:
     def test_default_is_pinned_table(self):

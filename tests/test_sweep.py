@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from hdqkd import fluctuation, keyrate, sweep
 from hdqkd.errors import ChernoffInapplicableError, DomainError
 from hdqkd.scenario import parse_config
 from hdqkd.sweep import (
@@ -66,6 +67,46 @@ class TestRunPoint:
         assert row.zeta_w_ub == row.zeta_t_ub
 
 
+class TestOneEvaluationPerPoint:
+    """Each point checks the multiplicative bound's preconditions once per
+    intensity and computes the finite-key terms once."""
+
+    @pytest.mark.parametrize(
+        "preset, method, n_pulses, length, keyed, checks",
+        [
+            ("fig3b", None, 1e12, 50.0, True, 3),
+            ("fig2b", None, 1e9, 150.0, False, 0),
+            ("fig2b", "chernoff", 1e9, 200.0, False, 3),
+        ],
+    )
+    def test_call_counts(
+        self, monkeypatch, preset, method, n_pulses, length, keyed, checks
+    ):
+        calls = {"applicable": 0, "terms": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        terms = counted("terms", keyrate.finite_key_terms)
+        monkeypatch.setattr(
+            fluctuation,
+            "chernoff_applicable",
+            counted("applicable", fluctuation.chernoff_applicable),
+        )
+        monkeypatch.setattr(sweep, "finite_key_terms", terms)
+        monkeypatch.setattr(keyrate, "finite_key_terms", terms)
+        scenario = parse_config("", preset=preset).with_overrides(
+            method=method, n_pulses=n_pulses
+        )
+        row = run_point(scenario, length)
+        assert math.isfinite(row.delta_i) == keyed
+        assert calls == {"applicable": checks, "terms": 1}
+
+
 class TestSweep:
     def test_single_point_grid_matches_run_point(self, fig2b):
         rows = sweep_distance(fig2b, 40.0, 40.0, 5.0)
@@ -75,11 +116,6 @@ class TestSweep:
     def test_grid_and_order(self, fig2b):
         rows = sweep_distance(fig2b, 0.0, 50.0, 10.0)
         assert [row.length_km for row in rows] == [0, 10, 20, 30, 40, 50]
-
-    def test_parallel_equals_serial(self, fig2b):
-        serial = sweep_distance(fig2b, 0.0, 40.0, 20.0)
-        parallel = sweep_distance(fig2b, 0.0, 40.0, 20.0, parallel=2)
-        assert serial == parallel
 
     def test_bad_grid(self, fig2b):
         with pytest.raises(DomainError):
