@@ -29,7 +29,6 @@ from .errors import (
 )
 from .fluctuation import EpsilonBudget, FluctuationInterval, interval
 from .keyrate import KeyRateResult, finite_key_terms, r_hd, secure_key_capacity
-from .montecarlo import SimConfig, SessionTally, coverage_experiment, simulate_session
 from .physics import (
     ChannelPoint,
     FrameParams,
@@ -50,6 +49,21 @@ from .security import (
 from .sweep import ResultRow, emit_csv, max_distance, run_point, sweep_distance
 
 __version__ = "0.1.0"
+
+# The Monte Carlo oracle needs numpy; it loads on first use, so the
+# analytic chain and the CLI start without it.
+_MONTECARLO_NAMES = frozenset(
+    {"SimConfig", "SessionTally", "coverage_experiment", "simulate_session"}
+)
+
+
+def __getattr__(name: str):
+    if name in _MONTECARLO_NAMES:
+        from . import montecarlo
+
+        return getattr(montecarlo, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "__version__",

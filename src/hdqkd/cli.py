@@ -11,7 +11,7 @@ import logging
 import math
 import sys
 
-from . import montecarlo, sweep
+from . import sweep
 from .errors import ConfigError, DomainError, HdqkdError
 from .scenario import PRESETS, Scenario, parse_config, preset_names
 
@@ -106,6 +106,8 @@ def _cmd_maxdist(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from . import montecarlo
+
     scenario = _load_scenario(args)
     config = scenario.sim_config(args.length, args.seed)
     tally = montecarlo.simulate_session(config)
@@ -114,6 +116,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_coverage(args: argparse.Namespace) -> int:
+    from . import montecarlo
+
     scenario = _load_scenario(args)
     config = scenario.sim_config(args.length, args.seed)
     method = args.method or scenario.method

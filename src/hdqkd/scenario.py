@@ -18,11 +18,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 from .decoy import SINGLE_DECOY, TWO_DECOY, IntensityConfig
 from .errors import ConfigError, DomainError, SecurityModelError
 from .fluctuation import METHODS, EpsilonBudget
-from .montecarlo import SimConfig
 from .physics import ChannelPoint, FrameParams, PhysicalParams
 from .security import (
     GaussianSecurityModel,
@@ -30,6 +30,9 @@ from .security import (
     TableSecurityModel,
     load_pinned_table,
 )
+
+if TYPE_CHECKING:
+    from .montecarlo import SimConfig
 
 __all__ = ["Scenario", "PRESETS", "parse_config", "preset_names", "build_scenario"]
 
@@ -104,10 +107,12 @@ class Scenario:
             raise ConfigError(f"p_t must lie in (0, 1), got {self.p_t}")
         if not 0.0 < self.beta <= 1.0:
             raise ConfigError(f"beta must lie in (0, 1], got {self.beta}")
-        if self.n_pulses <= 0:
+        if not self.n_pulses > 0:
             raise ConfigError(f"n_pulses must be > 0, got {self.n_pulses}")
-        if self.delta_phi < 0.0:
-            raise ConfigError(f"delta_phi must be >= 0, got {self.delta_phi}")
+        if not 0.0 <= self.delta_phi < math.inf:
+            raise ConfigError(
+                f"delta_phi must be finite and >= 0, got {self.delta_phi}"
+            )
 
     @cached_property
     def frame(self) -> FrameParams:
@@ -129,6 +134,8 @@ class Scenario:
         self, length_km: float, seed: int, n_pulses: float | None = None
     ) -> SimConfig:
         """Materialize a Monte Carlo configuration at one channel point."""
+        from .montecarlo import SimConfig
+
         pulses = n_pulses if n_pulses is not None else self.n_pulses
         if math.isinf(pulses):
             raise ConfigError("simulation needs a finite n_pulses")
@@ -293,8 +300,10 @@ def _parse_ratios(value: str, mode: str) -> tuple[float, float]:
         weights = [float(p) for p in parts]
     except ValueError as exc:
         raise ConfigError(f"[protocol] ratios: not numbers: {value!r}") from exc
-    if any(w <= 0 for w in weights):
-        raise ConfigError(f"[protocol] ratios: weights must be > 0, got {value!r}")
+    if not all(math.isfinite(w) and w > 0 for w in weights):
+        raise ConfigError(
+            f"[protocol] ratios: weights must be finite and > 0, got {value!r}"
+        )
     total = sum(weights)
     return weights[0] / total, weights[1] / total
 

@@ -2,16 +2,19 @@
 
 Two implementations ship.  The table model interpolates a deterministic
 grid loaded from a text file and is what reproducible sweeps and the
-acceptance suite use.  The Gaussian model evaluates a collective-attack
-Holevo bound on a two-mode Gaussian time-frequency state whose
-entanglement is set by the Schmidt number and whose correlations are
-degraded by the excess-noise factors; it is validated by contract
-(ranges, monotonicity) and by an independently coded spectral oracle,
-and exists so the toolkit is usable without a precomputed table.
+acceptance suite use; the pinned table shipped with the package is
+parsed once per process and shared (:func:`load_pinned_table`).  The
+Gaussian model evaluates a collective-attack Holevo bound on a two-mode
+Gaussian time-frequency state whose entanglement is set by the Schmidt
+number and whose correlations are degraded by the excess-noise factors;
+it is validated by contract (ranges, monotonicity) and by an
+independently coded spectral oracle, and exists so the toolkit is
+usable without a precomputed table.
 """
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass
 from importlib import resources
@@ -262,8 +265,14 @@ class TableSecurityModel:
         )
 
 
+@functools.cache
 def load_pinned_table() -> TableSecurityModel:
-    """Load the security table shipped with the package."""
+    """Load the security table shipped with the package.
+
+    The table is parsed once per process and the one model is shared by
+    every caller; nothing mutates it.  ``TableSecurityModel.from_file``
+    is not cached, since a user's file may change.
+    """
     text = (
         resources.files("hdqkd")
         .joinpath("data", PINNED_TABLE_RESOURCE)

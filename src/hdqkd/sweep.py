@@ -47,6 +47,9 @@ CSV_HEADER = (
 #: here is reported as an unbounded transmission distance.
 MAX_SEARCH_KM = 2000.0
 
+#: Most points a distance grid may hold.
+MAX_GRID_POINTS = 10**6
+
 
 @dataclass(frozen=True)
 class ResultRow:
@@ -158,11 +161,19 @@ def run_point(
 
 
 def _grid(l_min: float, l_max: float, step: float) -> list[float]:
-    if step <= 0.0:
+    if not step > 0.0:
         raise DomainError(f"step must be > 0, got {step}")
-    if l_min > l_max:
-        raise DomainError(f"need l_min <= l_max, got {l_min} > {l_max}")
-    count = int(math.floor((l_max - l_min) / step + 1e-9)) + 1
+    if not l_min <= l_max:
+        raise DomainError(f"need l_min <= l_max, got {l_min} and {l_max}")
+    # The point count is checked before anything is allocated; an
+    # infinite or NaN span fails the same comparison.
+    span = (l_max - l_min) / step + 1e-9
+    if not span < MAX_GRID_POINTS:
+        raise DomainError(
+            f"grid from {l_min} to {l_max} km at step {step} km exceeds "
+            f"{MAX_GRID_POINTS} points"
+        )
+    count = int(math.floor(span)) + 1
     return [l_min + i * step for i in range(count)]
 
 

@@ -1,0 +1,44 @@
+"""Package surface: lazy Monte Carlo exports and a numpy-free CLI import."""
+from __future__ import annotations
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import hdqkd
+import hdqkd.montecarlo
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def test_cli_import_loads_no_numpy():
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import hdqkd.cli; "
+        "print('numpy' in sys.modules)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe, str(SRC)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
+
+
+def test_monte_carlo_names_resolve_to_the_module():
+    for name in ("SimConfig", "SessionTally", "coverage_experiment", "simulate_session"):
+        assert getattr(hdqkd, name) is getattr(hdqkd.montecarlo, name)
+
+
+def test_star_import_binds_all_names():
+    namespace: dict[str, object] = {}
+    exec("from hdqkd import *", namespace)
+    assert [name for name in hdqkd.__all__ if name not in namespace] == []
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        hdqkd.no_such_name  # noqa: B018 - the lookup is the test

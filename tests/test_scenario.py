@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -137,12 +138,61 @@ class TestParsing:
             parse_config(text)
         assert key in str(err.value)
 
+    @pytest.mark.parametrize("weights", ["nan:1:1", "inf:1:1", "1:nan:1", "1:1:inf"])
+    def test_non_finite_ratio_named(self, weights):
+        with pytest.raises(ConfigError, match=r"\[protocol\] ratios"):
+            parse_config(f"[protocol]\nratios = {weights}\n")
+
+
+class TestScenarioGuards:
+    """The dataclass rejects NaN on the API path, not only in the parser."""
+
+    @pytest.mark.parametrize(
+        "field, value, via_overrides",
+        [
+            ("n_pulses", math.nan, True),
+            ("n_pulses", math.nan, False),
+            ("delta_phi", math.nan, False),
+            # An infinite baseline used to give more key than zero.
+            ("delta_phi", math.inf, False),
+            ("p_t", math.nan, False),
+            ("beta", math.nan, False),
+        ],
+    )
+    def test_non_finite_rejected(self, field, value, via_overrides):
+        s = parse_config("", preset="fig2b")
+        with pytest.raises(ConfigError, match=field):
+            if via_overrides:
+                s.with_overrides(**{field: value})
+            else:
+                replace(s, **{field: value})
+
 
 class TestSecurityModelSelection:
     def test_default_is_pinned_table(self):
         s = parse_config("")
         assert s.security_ref == "table:pinned"
         assert isinstance(s.security_model, TableSecurityModel)
+
+    def test_pinned_table_shared_between_parses(self):
+        # One model per process, so two parses of one document are equal.
+        first, second = parse_config(""), parse_config("")
+        assert first.security_model is second.security_model
+        assert first == second
+
+    def test_table_file_read_per_parse(self, tmp_path):
+        path = tmp_path / "table.txt"
+        path.write_text(
+            "8 0.0 0.0 3.0 0.0\n8 0.0 1000 2.0 1.0\n"
+            "8 1000 0.0 2.5 0.5\n8 1000 1000 1.5 1.5\n"
+        )
+        text = f"[security_model]\nmodel = table\ntable = {path}\n"
+        first = parse_config(text)
+        path.write_text(path.read_text().replace("3.0 0.0", "2.9 0.0", 1))
+        second = parse_config(text)
+        assert first.security_model is not second.security_model
+        sq = second.security_model.quantities(8, 30e-12, 240e-12, 0.0, 0.0)
+        assert sq.i_ab == 2.9
 
     def test_gaussian_selection(self):
         s = parse_config("[security_model]\nmodel = gaussian\n")

@@ -84,6 +84,9 @@ class TestTableModel:
 
 
 class TestPinnedTable:
+    def test_parsed_once_per_process(self):
+        assert load_pinned_table() is load_pinned_table()
+
     def test_loads_and_covers_needed_range(self):
         table = load_pinned_table()
         assert table.dimensions() == [8, 32]

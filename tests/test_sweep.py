@@ -11,6 +11,8 @@ from hdqkd.errors import ChernoffInapplicableError, DomainError
 from hdqkd.scenario import parse_config
 from hdqkd.sweep import (
     CSV_HEADER,
+    MAX_GRID_POINTS,
+    _grid,
     format_rows,
     emit_csv,
     emit_plotdata,
@@ -122,6 +124,26 @@ class TestSweep:
             sweep_distance(fig2b, 10.0, 0.0, 5.0)
         with pytest.raises(DomainError):
             sweep_distance(fig2b, 0.0, 10.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "l_min, l_max, step",
+        [
+            (0.0, 300.0, 1e-9),
+            (0.0, math.inf, 1.0),
+            (0.0, 10.0, math.nan),
+            (math.nan, 10.0, 1.0),
+            (0.0, math.nan, 1.0),
+        ],
+    )
+    def test_grid_capped_and_nan_rejected(self, l_min, l_max, step):
+        # Rejected before any point is allocated.
+        with pytest.raises(DomainError):
+            _grid(l_min, l_max, step)
+
+    def test_grid_at_the_cap(self):
+        assert len(_grid(0.0, MAX_GRID_POINTS - 1.0, 1.0)) == MAX_GRID_POINTS
+        with pytest.raises(DomainError, match="exceeds"):
+            _grid(0.0, float(MAX_GRID_POINTS), 1.0)
 
     def test_higher_dimension_beats_asymptotic_low_dimension(self):
         # At matched signal intensity, a short 32-dimensional session
