@@ -424,7 +424,11 @@ def _excess_noise_from_branches(
         )
     if not candidates:
         raise ComputationError("no admissible excess-noise branch")
-    bound = max(0.0, min(candidates) - 1.0)
+    # A branch that evaluates to NaN (an inf - inf difference when the
+    # multipliers overflow) certifies nothing; min() would not skip it.
+    bound = max(
+        0.0, min((c for c in candidates if not math.isnan(c)), default=math.inf) - 1.0
+    )
     if bound > cap:
         raise NoKeyError(
             f"excess-noise bound {bound:.6g} exceeds the cap {cap:.6g}; "

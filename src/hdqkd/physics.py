@@ -196,18 +196,18 @@ class PhysicalParams:
     delta_delta: float = 10e-12  # eavesdropper-induced correlation-time change, s
 
     def __post_init__(self) -> None:
-        if self.alpha < 0.0:
+        if not self.alpha >= 0.0:
             raise DomainError(f"alpha must be >= 0, got {self.alpha}")
         _check_unit_interval(eta_alice=self.eta_alice, eta_bob=self.eta_bob)
-        if self.r_dc < 0.0:
+        if not self.r_dc >= 0.0:
             raise DomainError(f"r_dc must be >= 0, got {self.r_dc}")
-        if self.delta_coh <= 0.0:
+        if not self.delta_coh > 0.0:
             raise DomainError(f"delta_coh must be > 0, got {self.delta_coh}")
-        if self.schmidt_d < 2 or int(self.schmidt_d) != self.schmidt_d:
+        if not self.schmidt_d >= 2 or int(self.schmidt_d) != self.schmidt_d:
             raise DomainError(f"schmidt_d must be an integer >= 2, got {self.schmidt_d}")
-        if self.delta_delta < 0.0:
+        if not self.delta_delta >= 0.0:
             raise DomainError(f"delta_delta must be >= 0, got {self.delta_delta}")
-        if self.delta_j < 0.0:
+        if not self.delta_j >= 0.0:
             raise DomainError(f"delta_j must be >= 0, got {self.delta_j}")
 
 

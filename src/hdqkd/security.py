@@ -1,15 +1,15 @@
 """Pluggable security models supplying I(A;B) and the Holevo bound.
 
-Two implementations ship.  The table model interpolates a deterministic
-grid loaded from a text file and is what reproducible sweeps and the
-acceptance suite use; the pinned table shipped with the package is
-parsed once per process and shared (:func:`load_pinned_table`).  The
-Gaussian model evaluates a collective-attack Holevo bound on a two-mode
-Gaussian time-frequency state whose entanglement is set by the Schmidt
-number and whose correlations are degraded by the excess-noise factors;
-it is validated by contract (ranges, monotonicity) and by an
-independently coded spectral oracle, and exists so the toolkit is
-usable without a precomputed table.
+Two implementations ship.  The Gaussian model evaluates a
+collective-attack Holevo bound on a two-mode Gaussian time-frequency
+state whose entanglement is set by the Schmidt number and whose
+correlations are degraded by the excess-noise factors; it is validated
+by contract (ranges, monotonicity) and by an independently coded
+spectral oracle.  The table model interpolates a deterministic grid and
+is what reproducible sweeps and the acceptance suite use.  The pinned
+table is the Gaussian model tabulated on a fixed grid, built once per
+process and shared (:func:`load_pinned_table`); a user's table is read
+from a text file.
 """
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ import bisect
 import functools
 import math
 from dataclasses import dataclass
-from importlib import resources
 from typing import Iterable, Protocol
 
 from .errors import DomainError, SecurityModelError
@@ -29,10 +28,19 @@ __all__ = [
     "GaussianSecurityModel",
     "gaussian_entropy",
     "load_pinned_table",
-    "PINNED_TABLE_RESOURCE",
+    "PINNED_DIMENSIONS",
+    "PINNED_ZETA_GRID",
 ]
 
-PINNED_TABLE_RESOURCE = "security_table.txt"
+#: Dimensions and noise-factor nodes of the pinned table.  The grid is
+#: dense where sweeps actually land (noise factors below ~1) and coarse
+#: toward the no-key cap at 1e3.
+PINNED_DIMENSIONS = (8, 32)
+PINNED_ZETA_GRID = (
+    0.0, 0.005, 0.01, 0.02, 0.03, 0.05, 0.07, 0.1, 0.15, 0.2, 0.3, 0.5,
+    0.7, 1.0, 1.5, 2.0, 3.0, 5.0, 7.0, 10.0, 15.0, 20.0, 30.0, 50.0,
+    100.0, 200.0, 500.0, 1000.0,
+)
 
 
 @dataclass(frozen=True)
@@ -50,11 +58,11 @@ class SecurityQuantities:
     i_r: float
 
     def __post_init__(self) -> None:
-        if self.i_ab < 0.0:
+        if not self.i_ab >= 0.0:
             raise DomainError(f"i_ab must be >= 0, got {self.i_ab}")
-        if self.phi_ub < 0.0:
+        if not self.phi_ub >= 0.0:
             raise DomainError(f"phi_ub must be >= 0, got {self.phi_ub}")
-        if self.i_r < 0.0:
+        if not self.i_r >= 0.0:
             raise DomainError(f"i_r must be >= 0, got {self.i_r}")
 
 
@@ -83,14 +91,48 @@ def gaussian_entropy(nu: float) -> float:
 def _validate_query(
     d: int, delta_coh: float, delta_cor: float, zeta_t: float, zeta_w: float
 ) -> None:
-    if d < 2 or int(d) != d:
+    if not d >= 2 or int(d) != d:
         raise DomainError(f"dimension must be an integer >= 2, got {d}")
-    if delta_coh <= 0.0 or delta_cor <= 0.0:
+    if not (delta_coh > 0.0 and delta_cor > 0.0):
         raise DomainError("coherence and correlation times must be > 0")
-    if zeta_t < 0.0 or zeta_w < 0.0:
+    if not (zeta_t >= 0.0 and zeta_w >= 0.0):
         raise DomainError(
             f"excess-noise factors must be >= 0, got ({zeta_t}, {zeta_w})"
         )
+
+
+def _gaussian_bound(d: int, zeta_t: float, zeta_w: float) -> tuple[float, float]:
+    """``(i_ab, phi_ub)`` of the Gaussian model; arguments unchecked."""
+    nu = float(d)
+    nu2 = nu * nu
+    c0sq = nu2 - 1.0
+    # Injected noise in units where u = nu * n_t; the correlated
+    # combination's base variance is 2 (nu - sqrt(nu^2 - 1)).
+    scale = 2.0 * nu * (nu - math.sqrt(c0sq))
+    u = zeta_t * scale
+    v = zeta_w * scale
+    # Symplectic invariants of the noisy state; the discriminant is
+    # regrouped into nonnegative terms so pure-state corners do not
+    # suffer cancellation.
+    delta = 2.0 + u + v + u * v / nu2
+    det = (1.0 + u) * (1.0 + v)
+    disc_sq = nu2 * nu2 * (u - v) ** 2 + u * v * (
+        u * v + 4.0 * nu2 + 2.0 * nu2 * (u + v)
+    )
+    disc = math.sqrt(disc_sq) / nu2
+    nu_plus = math.sqrt(max((delta + disc) / 2.0, 1.0))
+    nu_minus = max(math.sqrt(det) / nu_plus, 1.0)
+    # Conditional state of the transmitted mode after a timing
+    # homodyne on Alice's side.
+    nu_cond = math.sqrt(max((1.0 + u) * (nu2 + v), 1.0)) / nu
+    phi_ub = max(
+        gaussian_entropy(nu_plus)
+        + gaussian_entropy(nu_minus)
+        - gaussian_entropy(nu_cond),
+        0.0,
+    )
+    i_ab = 0.5 * math.log2((nu2 + u) / (1.0 + u))
+    return i_ab, phi_ub
 
 
 class GaussianSecurityModel:
@@ -118,42 +160,8 @@ class GaussianSecurityModel:
         zeta_w: float,
     ) -> SecurityQuantities:
         _validate_query(d, delta_coh, delta_cor, zeta_t, zeta_w)
-        nu = float(d)
-        nu2 = nu * nu
-        c0sq = nu2 - 1.0
-        # Injected noise in units where u = nu * n_t; the correlated
-        # combination's base variance is 2 (nu - sqrt(nu^2 - 1)).
-        scale = 2.0 * nu * (nu - math.sqrt(c0sq))
-        u = zeta_t * scale
-        v = zeta_w * scale
-        # Symplectic invariants of the noisy state; the discriminant is
-        # regrouped into nonnegative terms so pure-state corners do not
-        # suffer cancellation.
-        delta = 2.0 + u + v + u * v / nu2
-        det = (1.0 + u) * (1.0 + v)
-        disc_sq = nu2 * nu2 * (u - v) ** 2 + u * v * (
-            u * v + 4.0 * nu2 + 2.0 * nu2 * (u + v)
-        )
-        disc = math.sqrt(disc_sq) / nu2
-        nu_plus = math.sqrt(max((delta + disc) / 2.0, 1.0))
-        nu_minus = max(math.sqrt(det) / nu_plus, 1.0)
-        # Conditional state of the transmitted mode after a timing
-        # homodyne on Alice's side.
-        nu_cond = math.sqrt(max((1.0 + u) * (nu2 + v), 1.0)) / nu
-        phi_ub = max(
-            gaussian_entropy(nu_plus)
-            + gaussian_entropy(nu_minus)
-            - gaussian_entropy(nu_cond),
-            0.0,
-        )
-        i_ab = 0.5 * math.log2((nu2 + u) / (1.0 + u))
+        i_ab, phi_ub = _gaussian_bound(d, zeta_t, zeta_w)
         return SecurityQuantities(i_ab=i_ab, phi_ub=phi_ub, i_r=math.log2(d))
-
-
-@dataclass(frozen=True)
-class _TableEntry:
-    i_ab: float
-    phi_ub: float
 
 
 class TableSecurityModel:
@@ -167,7 +175,7 @@ class TableSecurityModel:
     """
 
     def __init__(self, rows: Iterable[tuple[int, float, float, float, float]]):
-        entries: dict[int, dict[tuple[float, float], _TableEntry]] = {}
+        entries: dict[int, dict[tuple[float, float], tuple[float, float]]] = {}
         for d, zeta_t, zeta_w, i_ab, phi_ub in rows:
             per_d = entries.setdefault(int(d), {})
             key = (float(zeta_t), float(zeta_w))
@@ -175,7 +183,7 @@ class TableSecurityModel:
                 raise SecurityModelError(
                     f"duplicate grid point d={d} zeta_t={zeta_t} zeta_w={zeta_w}"
                 )
-            per_d[key] = _TableEntry(i_ab=float(i_ab), phi_ub=float(phi_ub))
+            per_d[key] = (float(i_ab), float(phi_ub))
         if not entries:
             raise SecurityModelError("security table is empty")
         self._grids: dict[int, tuple[list[float], list[float], dict]] = {}
@@ -249,33 +257,45 @@ class TableSecurityModel:
         t_lo, t_hi, ft = self._bracket(ts, zeta_t, "zeta_t")
         w_lo, w_hi, fw = self._bracket(ws, zeta_w, "zeta_w")
 
-        def value(attr: str) -> float:
-            e00 = getattr(per_d[(ts[t_lo], ws[w_lo])], attr)
-            e10 = getattr(per_d[(ts[t_hi], ws[w_lo])], attr)
-            e01 = getattr(per_d[(ts[t_lo], ws[w_hi])], attr)
-            e11 = getattr(per_d[(ts[t_hi], ws[w_hi])], attr)
+        def value(field: int) -> float:
+            e00 = per_d[(ts[t_lo], ws[w_lo])][field]
+            e10 = per_d[(ts[t_hi], ws[w_lo])][field]
+            e01 = per_d[(ts[t_lo], ws[w_hi])][field]
+            e11 = per_d[(ts[t_hi], ws[w_hi])][field]
             low = e00 + ft * (e10 - e00)
             high = e01 + ft * (e11 - e01)
             return low + fw * (high - low)
 
         return SecurityQuantities(
-            i_ab=max(value("i_ab"), 0.0),
-            phi_ub=max(value("phi_ub"), 0.0),
+            i_ab=max(value(0), 0.0),
+            phi_ub=max(value(1), 0.0),
             i_r=math.log2(d),
         )
 
 
 @functools.cache
 def load_pinned_table() -> TableSecurityModel:
-    """Load the security table shipped with the package.
+    """The Gaussian model tabulated on the pinned grid.
 
-    The table is parsed once per process and the one model is shared by
+    Evaluates the bound of :class:`GaussianSecurityModel` at every node
+    of ``PINNED_DIMENSIONS x PINNED_ZETA_GRID x PINNED_ZETA_GRID``
+    (without per-node query checks, which the constant grid passes and
+    which would only add set-up time) and rounds ``i_ab`` and
+    ``phi_ub`` to 12 significant digits.  The
+    rounding is part of the pinned numbers: every golden ``model =
+    table`` CSV matches with it and none matches without it.
+
+    The table is built once per process and the one model is shared by
     every caller; nothing mutates it.  ``TableSecurityModel.from_file``
     is not cached, since a user's file may change.
     """
-    text = (
-        resources.files("hdqkd")
-        .joinpath("data", PINNED_TABLE_RESOURCE)
-        .read_text(encoding="utf-8")
-    )
-    return TableSecurityModel.from_text(text)
+    def digits12(x: float) -> float:
+        return float(f"{x:.12g}")
+
+    rows = []
+    for d in PINNED_DIMENSIONS:
+        for zeta_t in PINNED_ZETA_GRID:
+            for zeta_w in PINNED_ZETA_GRID:
+                i_ab, phi_ub = _gaussian_bound(d, zeta_t, zeta_w)
+                rows.append((d, zeta_t, zeta_w, digits12(i_ab), digits12(phi_ub)))
+    return TableSecurityModel(rows)

@@ -340,6 +340,14 @@ class TestExcessNoiseUpper:
             assert zt >= prev - 1e-15
             prev = zt
 
+    def test_infinite_noise_means_no_key(self, default_phys, default_frame):
+        # Infinite multipliers make the pairwise branches inf - inf; the
+        # bound must not come out as 0.
+        stats = exact_stats(TWO, default_phys, default_frame, 10.0, zeta=math.inf)
+        _, k_true = true_quantities(TWO, default_phys, default_frame, 10.0)
+        with pytest.raises(NoKeyError):
+            excess_noise_upper(stats, TWO, k_true)
+
     def test_zero_fraction_means_no_key(self, default_phys, default_frame):
         stats = exact_stats(TWO, default_phys, default_frame, 0.0)
         with pytest.raises(NoKeyError):

@@ -14,8 +14,11 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_cli_import_loads_no_numpy():
+    # Parsing a preset builds the pinned table, so this also catches a
+    # tabulation that pulls numpy into set-up.
     probe = (
         "import sys; sys.path.insert(0, sys.argv[1]); import hdqkd.cli; "
+        "import hdqkd.scenario; hdqkd.scenario.parse_config('', preset='fig2b'); "
         "print('numpy' in sys.modules)"
     )
     result = subprocess.run(

@@ -231,6 +231,15 @@ class TestParamTypes:
         with pytest.raises(DomainError):
             PhysicalParams(delta_coh=0.0)
 
+    @pytest.mark.parametrize(
+        "field",
+        ["alpha", "eta_alice", "eta_bob", "r_dc", "delta_j", "delta_coh",
+         "schmidt_d", "delta_delta"],
+    )
+    def test_physical_nan_rejected(self, field):
+        with pytest.raises(DomainError, match=field):
+            PhysicalParams(**{field: math.nan})
+
     def test_channel_point(self):
         point = ChannelPoint.from_length(0.2, 50.0)
         assert point.eta_t == pytest.approx(0.1, rel=1e-14)

@@ -1,6 +1,7 @@
 """Security-model tests: table semantics and the Gaussian bound contract."""
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -10,7 +11,10 @@ from hypothesis import strategies as st
 
 from hdqkd.errors import DomainError, SecurityModelError
 from hdqkd.security import (
+    PINNED_DIMENSIONS,
+    PINNED_ZETA_GRID,
     GaussianSecurityModel,
+    SecurityQuantities,
     TableSecurityModel,
     gaussian_entropy,
     load_pinned_table,
@@ -78,9 +82,25 @@ class TestTableModel:
             TableSecurityModel.from_text("8 0.0 0.0 3.0\n")
 
     def test_negative_query_rejected(self):
-        table = TableSecurityModel.from_text(SMALL_TABLE)
-        with pytest.raises(DomainError):
-            table.quantities(8, DCOH, dcor(8), -0.01, 0.0)
+        bad = [
+            (DCOH, dcor(8), -0.01, 0.0),
+            (DCOH, dcor(8), math.nan, 0.0),
+            (DCOH, dcor(8), 0.0, math.nan),
+            (math.nan, dcor(8), 0.0, 0.0),
+            (DCOH, math.nan, 0.0, 0.0),
+        ]
+        for model in (TableSecurityModel.from_text(SMALL_TABLE), GaussianSecurityModel()):
+            for args in bad:
+                with pytest.raises(DomainError):
+                    model.quantities(8, *args)
+            with pytest.raises(DomainError):
+                model.quantities(math.nan, DCOH, dcor(8), 0.0, 0.0)
+
+    @pytest.mark.parametrize("field", ["i_ab", "phi_ub", "i_r"])
+    def test_nan_quantities_rejected(self, field):
+        values = {"i_ab": 1.0, "phi_ub": 0.5, "i_r": 3.0, field: math.nan}
+        with pytest.raises(DomainError, match=field):
+            SecurityQuantities(**values)
 
 
 class TestPinnedTable:
@@ -99,27 +119,44 @@ class TestPinnedTable:
 
     def test_monotone_along_grid_axes(self):
         table = load_pinned_table()
-        grid = sorted({t for t, _ in table._grids[8][2]})
-        for d in (8, 32):
+        for d in PINNED_DIMENSIONS:
             for w in (0.0, 0.1, 1.0):
                 phis = [
-                    table.quantities(d, DCOH, dcor(d), t, w).phi_ub for t in grid
+                    table.quantities(d, DCOH, dcor(d), t, w).phi_ub
+                    for t in PINNED_ZETA_GRID
                 ]
                 assert all(b >= a - 1e-12 for a, b in zip(phis, phis[1:]))
                 iabs = [
-                    table.quantities(d, DCOH, dcor(d), t, w).i_ab for t in grid
+                    table.quantities(d, DCOH, dcor(d), t, w).i_ab
+                    for t in PINNED_ZETA_GRID
                 ]
                 assert all(b <= a + 1e-12 for a, b in zip(iabs, iabs[1:]))
 
     def test_matches_generator_model_on_nodes(self):
         table = load_pinned_table()
         model = GaussianSecurityModel()
-        for d in (8, 32):
-            for zeta in (0.0, 0.05, 0.2, 1.0, 10.0):
-                got = table.quantities(d, DCOH, dcor(d), zeta, zeta)
-                want = model.quantities(d, DCOH, dcor(d), zeta, zeta)
-                assert got.phi_ub == pytest.approx(want.phi_ub, rel=1e-10, abs=1e-12)
-                assert got.i_ab == pytest.approx(want.i_ab, rel=1e-10)
+        for d in PINNED_DIMENSIONS:
+            for zt in PINNED_ZETA_GRID:
+                for zw in PINNED_ZETA_GRID:
+                    got = table.quantities(d, DCOH, dcor(d), zt, zw)
+                    want = model.quantities(d, DCOH, dcor(d), zt, zw)
+                    assert got.phi_ub == pytest.approx(want.phi_ub, rel=1e-10, abs=1e-12)
+                    assert got.i_ab == pytest.approx(want.i_ab, rel=1e-10)
+
+    def test_node_values_pinned(self):
+        # sha256 of the 1568 node records at 12 significant digits, one
+        # "d zeta_t zeta_w i_ab phi_ub" line each; any change to the
+        # tabulated numbers shows here before it shows in a CSV.
+        table = load_pinned_table()
+        lines = []
+        for d in PINNED_DIMENSIONS:
+            for zt in PINNED_ZETA_GRID:
+                for zw in PINNED_ZETA_GRID:
+                    q = table.quantities(d, DCOH, dcor(d), zt, zw)
+                    lines.append(f"{d} {zt:.12g} {zw:.12g} {q.i_ab:.12g} {q.phi_ub:.12g}")
+        assert len(lines) == 1568
+        digest = hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest()
+        assert digest == "5b5dc61ce15cf90c701fdaaedb7c56077aa9d3f19e752a0fb16604972a2adf65"
 
 
 def _spectral_oracle(d: int, zeta_t: float, zeta_w: float) -> tuple[float, float]:
