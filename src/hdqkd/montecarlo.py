@@ -1,10 +1,25 @@
 """Frame-level Monte Carlo oracle of the protocol.
 
-Samples, frame by frame, the intensity choice, the Poisson pair number,
-both parties' basis choices and their detections (photons or dark
-counts), and tallies coincidences per intensity and basis pairing.  The
-empirical postselection probabilities validate the analytic model, and
-repeated sessions validate the coverage of the fluctuation intervals.
+Every frame gets its own intensity role, basis pairing and Poisson pair
+number, and both parties detect it (photons or dark counts) independently
+given that pair number.  The sampler draws only what the tally depends
+on, in three steps that are exact in distribution:
+
+1. Frames are iid and a frame's cell (intensity role, basis pairing) is
+   categorical with probability ``p_role * pi_pairing``, where ``pi`` is
+   ``(p_t**2, (1 - p_t)**2, 2 p_t (1 - p_t))`` for TT, DD and mismatch.
+   So the frame counts of all cells are one multinomial draw.
+2. The pair number depends on the intensity only, so each cell draws one
+   Poisson number per frame at its role's intensity.
+3. The parties detect independently given the pair number n, so the
+   coincidences among the m frames of a cell that share n are
+   Binomial(m, P_alice(n) * P_bob(n)).
+
+The empirical postselection probabilities validate the analytic model,
+and repeated sessions validate the coverage of the fluctuation
+intervals.  The sampler never uses a summed postselection probability:
+each frame's pair number comes from numpy's Poisson sampler, which keeps
+the comparison with the closed form independent.
 
 Sessions are reproducible: the 64-bit seed fully determines the tally,
 and per-trial seeds are derived as ``seed XOR trial_index`` so trials
@@ -55,9 +70,10 @@ class SimConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.p_t <= 1.0:
             raise DomainError(f"p_t must lie in [0, 1], got {self.p_t}")
-        if self.n_pulses < 1 or math.isinf(self.n_pulses):
+        n = self.n_pulses
+        if not (1 <= n < math.inf) or n != int(n):
             raise DomainError(
-                f"simulation needs a finite n_pulses >= 1, got {self.n_pulses}"
+                f"simulation needs a finite integer n_pulses >= 1, got {n}"
             )
         total = sum(p for _, _, p in self.intensities.roles())
         if abs(total - 1.0) > 1e-9:
@@ -109,25 +125,31 @@ class SessionTally:
 
 
 def simulate_session(config: SimConfig) -> SessionTally:
-    """Run one protocol session frame by frame.
+    """Run one protocol session of ``n_pulses`` frames.
 
     Per frame: the intensity is drawn by its selection probability, the
     pair number from a Poisson distribution at that intensity, both
     parties' bases independently (key basis with probability ``p_t``),
     and each party detects independently given the pair number, with the
     per-frame dark-count probability filling in for lost photons.  A
-    coincidence is both parties detecting.  Identical configs (seed
-    included) produce identical tallies.
+    coincidence is both parties detecting.  The draws follow the module's
+    three steps: one multinomial for the cell counts, one Poisson pair
+    number per frame, and one binomial per (cell, pair number) for the
+    coincidences.  Identical configs (seed included) produce identical
+    tallies.
     """
     roles = config.intensities.roles()
-    lams = np.array([lam for _, lam, _ in roles])
-    cum = np.cumsum([p for _, _, p in roles])
-    cum[-1] = 1.0  # guard against float round-off in the last bin
+    p_t = config.p_t
+    pairing_p = (p_t * p_t, (1.0 - p_t) ** 2, 2.0 * p_t * (1.0 - p_t))
+    cell_p = np.array([p * q for _, _, p in roles for q in pairing_p])
+    # The roles' selection probabilities may sum to 1 +- 1e-9, and
+    # multinomial rejects cell probabilities whose sum exceeds 1.
+    cell_p /= cell_p.sum()
     p_d = config.frame.p_d
-    # Detection probabilities depend only on the (small) pair number;
-    # tabulating them avoids a per-frame power evaluation.  The table is
-    # long enough that Poisson draws above it have probability ~0 at any
-    # sane intensity, and the last entry is exact in that regime anyway.
+    # Detection probabilities depend only on the (small) pair number.
+    # The table is long enough that Poisson draws above it have
+    # probability ~0 at any sane intensity, and the last entry is exact
+    # in that regime anyway.
     lut_n = 64
     grid = np.arange(lut_n)
     lut_alice = 1.0 - (1.0 - config.phys.eta_alice) ** grid * (1.0 - p_d)
@@ -135,34 +157,23 @@ def simulate_session(config: SimConfig) -> SessionTally:
         1.0
         - (1.0 - config.phys.eta_bob * config.channel.eta_t) ** grid * (1.0 - p_d)
     )
+    lut_both = lut_alice * lut_bob
     rng = np.random.Generator(np.random.Philox(key=config.seed & _SEED_MASK))
 
-    n_cells = len(roles) * len(PAIRINGS)
-    frames = np.zeros(n_cells, dtype=np.int64)
-    coinc = np.zeros(n_cells, dtype=np.int64)
-    remaining = int(config.n_pulses)
-    while remaining > 0:
-        n = min(remaining, _CHUNK)
-        remaining -= n
-        which = np.searchsorted(cum, rng.random(n), side="right")
-        pairs = np.minimum(rng.poisson(lams[which]), lut_n - 1)
-        alice_t = rng.random(n) < config.p_t
-        bob_t = rng.random(n) < config.p_t
-        hit = (rng.random(n) < np.take(lut_alice, pairs)) & (
-            rng.random(n) < np.take(lut_bob, pairs)
-        )
-        pairing = np.where(alice_t & bob_t, 0, np.where(~alice_t & ~bob_t, 1, 2))
-        cell = which * len(PAIRINGS) + pairing
-        frames += np.bincount(cell, minlength=n_cells)
-        coinc += np.bincount(cell[hit], minlength=n_cells)
-
+    frames = rng.multinomial(int(config.n_pulses), cell_p)
     cells = {}
-    for i, (role, _lam, _p) in enumerate(roles):
-        for j, pairing_name in enumerate(PAIRINGS):
-            k = i * len(PAIRINGS) + j
-            cells[(role, pairing_name)] = CellCount(
-                frames=int(frames[k]), coincidences=int(coinc[k])
-            )
+    for k, count in enumerate(frames.tolist()):
+        role, lam, _p = roles[k // len(PAIRINGS)]
+        coincidences = 0
+        # Slices of at most _CHUNK pair numbers bound a long session's memory.
+        for start in range(0, count, _CHUNK):
+            pairs = rng.poisson(lam, min(_CHUNK, count - start))
+            np.minimum(pairs, lut_n - 1, out=pairs)
+            per_n = np.bincount(pairs, minlength=lut_n)
+            coincidences += int(rng.binomial(per_n, lut_both).sum())
+        cells[(role, PAIRINGS[k % len(PAIRINGS)])] = CellCount(
+            frames=count, coincidences=coincidences
+        )
     return SessionTally(config=config, cells=cells)
 
 

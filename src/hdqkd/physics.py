@@ -201,9 +201,11 @@ class PhysicalParams:
         _check_unit_interval(eta_alice=self.eta_alice, eta_bob=self.eta_bob)
         if not self.r_dc >= 0.0:
             raise DomainError(f"r_dc must be >= 0, got {self.r_dc}")
-        if not self.delta_coh > 0.0:
-            raise DomainError(f"delta_coh must be > 0, got {self.delta_coh}")
-        if not self.schmidt_d >= 2 or int(self.schmidt_d) != self.schmidt_d:
+        if not 0.0 < self.delta_coh < math.inf:
+            raise DomainError(
+                f"delta_coh must be finite and > 0, got {self.delta_coh}"
+            )
+        if not 2 <= self.schmidt_d < math.inf or int(self.schmidt_d) != self.schmidt_d:
             raise DomainError(f"schmidt_d must be an integer >= 2, got {self.schmidt_d}")
         if not self.delta_delta >= 0.0:
             raise DomainError(f"delta_delta must be >= 0, got {self.delta_delta}")

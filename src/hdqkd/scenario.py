@@ -137,8 +137,10 @@ class Scenario:
         from .montecarlo import SimConfig
 
         pulses = n_pulses if n_pulses is not None else self.n_pulses
-        if math.isinf(pulses):
-            raise ConfigError("simulation needs a finite n_pulses")
+        if not math.isfinite(pulses) or pulses != int(pulses):
+            raise ConfigError(
+                f"simulation needs a finite integer n_pulses, got {pulses}"
+            )
         return SimConfig(
             phys=self.phys,
             frame=self.frame,

@@ -91,7 +91,7 @@ def gaussian_entropy(nu: float) -> float:
 def _validate_query(
     d: int, delta_coh: float, delta_cor: float, zeta_t: float, zeta_w: float
 ) -> None:
-    if not d >= 2 or int(d) != d:
+    if not 2 <= d < math.inf or int(d) != d:
         raise DomainError(f"dimension must be an integer >= 2, got {d}")
     if not (delta_coh > 0.0 and delta_cor > 0.0):
         raise DomainError("coherence and correlation times must be > 0")

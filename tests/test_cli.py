@@ -207,6 +207,12 @@ class TestSimulateCommand:
         assert line[1] == "TT"
         assert int(line[2]) > 0
 
+    def test_non_integral_pulses_exit_config_error(self):
+        result = run_cli("simulate", "--preset", "fig2b", "--n-pulses", "2.5")
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert "integer n_pulses" in result.stderr
+
 
 class TestCoverageCommand:
     def test_reports_fraction(self):

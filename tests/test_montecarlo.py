@@ -7,9 +7,11 @@ from dataclasses import replace
 import pytest
 
 from conftest import true_quantities
+from hdqkd import montecarlo
 from hdqkd.decoy import IntensityConfig, attach_fluctuation, estimate_bounds
 from hdqkd.errors import ConfigError, DomainError, EstimationImpossibleError
 from hdqkd.montecarlo import (
+    _CHUNK,
     PAIRINGS,
     CellCount,
     SessionTally,
@@ -19,7 +21,12 @@ from hdqkd.montecarlo import (
     format_tally,
     simulate_session,
 )
-from hdqkd.physics import ChannelPoint, FrameParams, PhysicalParams
+from hdqkd.physics import (
+    ChannelPoint,
+    FrameParams,
+    PhysicalParams,
+    postselection_prob_series,
+)
 from hdqkd.scenario import parse_config
 
 
@@ -60,6 +67,29 @@ class TestSimulateSession:
         tally = simulate_session(make_config())
         assert sum(c.frames for c in tally.cells.values()) == 200_000
         assert all(c.coincidences <= c.frames for c in tally.cells.values())
+
+    @pytest.mark.parametrize("n_pulses", [_CHUNK + 1, 2 * _CHUNK + 7])
+    def test_frames_sum_to_pulses_across_slices(self, n_pulses):
+        tally = simulate_session(make_config(n_pulses=n_pulses))
+        assert sum(c.frames for c in tally.cells.values()) == n_pulses
+        assert all(c.coincidences <= c.frames for c in tally.cells.values())
+
+    def test_every_frame_of_every_slice_counted(self, monkeypatch):
+        # With certain dark counts every frame is a coincidence, so a
+        # slice that dropped or repeated frames would show.  Slices of 7
+        # frames put many slice edges inside every cell; the cell counts
+        # are drawn before any slice, so they do not move.
+        config = make_config(p_d=1.0, n_pulses=10_000)
+        whole = simulate_session(config)
+        monkeypatch.setattr(montecarlo, "_CHUNK", 7)
+        sliced = simulate_session(config)
+        assert sliced.cells == whole.cells
+        assert all(c.coincidences == c.frames for c in sliced.cells.values())
+
+    @pytest.mark.parametrize("n_pulses", [math.nan, 2.5, 0.5, 0, -1, math.inf])
+    def test_pulse_count_must_be_finite_integer(self, n_pulses):
+        with pytest.raises(DomainError, match="n_pulses"):
+            replace(make_config(), n_pulses=n_pulses)
 
     def test_blind_detectors_no_dark_counts(self):
         config = make_config(eta=0.0, p_d=0.0)
@@ -104,6 +134,37 @@ class TestSimulateSession:
                 n_pulses=1000,
                 seed=1,
             )
+
+
+class TestMultiPairRegime:
+    def test_every_cell_matches_series_within_5_sigma(self):
+        # At mu = 2 about 60% of signal frames carry two or more pairs.
+        # p_t = 0.3 makes TT and DD unequal, so a swapped pairing shows,
+        # and every pairing's coincidence rate must match the same P.
+        config = replace(
+            make_config(length_km=20.0, mu=2.0, eta=0.5, n_pulses=2_000_000),
+            p_t=0.3,
+        )
+        tally = simulate_session(config)
+        n = config.n_pulses
+        pairing_p = {"TT": 0.09, "DD": 0.49, "mismatch": 0.42}
+        for role, lam, p_sel in config.intensities.roles():
+            p_true = postselection_prob_series(
+                lam,
+                config.phys.eta_alice,
+                config.phys.eta_bob,
+                config.channel.eta_t,
+                config.frame.p_d,
+            )
+            for pairing in PAIRINGS:
+                frames = tally.frames(role, pairing)
+                share = p_sel * pairing_p[pairing]
+                assert abs(frames - n * share) <= 5.0 * math.sqrt(
+                    n * share * (1.0 - share)
+                )
+                sigma = math.sqrt(p_true * (1.0 - p_true) / frames)
+                p_hat = tally.coincidences(role, pairing) / frames
+                assert abs(p_hat - p_true) <= 5.0 * sigma
 
 
 class TestEmpiricalStats:

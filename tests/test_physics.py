@@ -240,6 +240,11 @@ class TestParamTypes:
         with pytest.raises(DomainError, match=field):
             PhysicalParams(**{field: math.nan})
 
+    @pytest.mark.parametrize("field", ["schmidt_d", "delta_coh"])
+    def test_physical_inf_rejected(self, field):
+        with pytest.raises(DomainError, match=field):
+            PhysicalParams(**{field: math.inf})
+
     def test_channel_point(self):
         point = ChannelPoint.from_length(0.2, 50.0)
         assert point.eta_t == pytest.approx(0.1, rel=1e-14)

@@ -228,3 +228,13 @@ class TestSimConfigBridge:
         assert cfg.n_pulses == 1_000
         assert cfg.channel.length_km == 10.0
         assert cfg.seed == 3
+
+    @pytest.mark.parametrize("pulses", [2.5, 1e6 + 0.5, math.nan, -math.inf])
+    def test_non_integral_pulses_rejected(self, pulses):
+        s = parse_config("", preset="fig2b")
+        with pytest.raises(ConfigError, match="integer n_pulses"):
+            s.sim_config(0.0, seed=1, n_pulses=pulses)
+
+    def test_integral_float_pulses_accepted(self):
+        cfg = parse_config("", preset="fig2b").sim_config(0.0, seed=1, n_pulses=2e3)
+        assert cfg.n_pulses == 2_000

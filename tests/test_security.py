@@ -93,8 +93,9 @@ class TestTableModel:
             for args in bad:
                 with pytest.raises(DomainError):
                     model.quantities(8, *args)
-            with pytest.raises(DomainError):
-                model.quantities(math.nan, DCOH, dcor(8), 0.0, 0.0)
+            for d in (math.nan, math.inf):
+                with pytest.raises(DomainError):
+                    model.quantities(d, DCOH, dcor(8), 0.0, 0.0)
 
     @pytest.mark.parametrize("field", ["i_ab", "phi_ub", "i_r"])
     def test_nan_quantities_rejected(self, field):
