@@ -15,21 +15,26 @@ on, in three steps that are exact in distribution:
    coincidences among the m frames of a cell that share n are
    Binomial(m, P_alice(n) * P_bob(n)).
 
-The empirical postselection probabilities validate the analytic model,
-and repeated sessions validate the coverage of the fluctuation
-intervals.  The sampler never uses a summed postselection probability:
-each frame's pair number comes from numpy's Poisson sampler, which keeps
-the comparison with the closed form independent.
+The empirical postselection probabilities validate the analytic model.
+The session sampler never uses a summed postselection probability: each
+frame's pair number comes from numpy's Poisson sampler, which keeps the
+comparison with the closed form independent.
 
-Sessions are reproducible: the 64-bit seed fully determines the tally,
-and per-trial seeds are derived as ``seed XOR trial_index`` so trials
-can run in any order or in parallel.
+Coverage needs only each trial's estimation (DD) cells, so it draws
+counts: step 1 as one multinomial per trial, then each role's DD
+coincidences as one Binomial(frames, P_role), with ``P_role`` the Poisson
+mixture of the yields (:func:`~hdqkd.physics.postselection_prob_series`).
+This is exact in distribution as well: given the cell counts, steps 2
+and 3 make each frame a coincidence independently with probability
+P_role, whatever its basis pairing.
+
+The 64-bit seed fully determines a session's tally and a coverage run.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -124,6 +129,18 @@ class SessionTally:
         return cell.coincidences / cell.frames
 
 
+def _cell_probabilities(config: SimConfig) -> np.ndarray:
+    """Frame probability of every (role, pairing) cell, role-major."""
+    p_t = config.p_t
+    pairing_p = (p_t * p_t, (1.0 - p_t) ** 2, 2.0 * p_t * (1.0 - p_t))
+    cell_p = np.array(
+        [p * q for _, _, p in config.intensities.roles() for q in pairing_p]
+    )
+    # The roles' selection probabilities may sum to 1 +- 1e-9, and
+    # multinomial rejects cell probabilities whose sum exceeds 1.
+    return cell_p / cell_p.sum()
+
+
 def simulate_session(config: SimConfig) -> SessionTally:
     """Run one protocol session of ``n_pulses`` frames.
 
@@ -139,12 +156,7 @@ def simulate_session(config: SimConfig) -> SessionTally:
     tallies.
     """
     roles = config.intensities.roles()
-    p_t = config.p_t
-    pairing_p = (p_t * p_t, (1.0 - p_t) ** 2, 2.0 * p_t * (1.0 - p_t))
-    cell_p = np.array([p * q for _, _, p in roles for q in pairing_p])
-    # The roles' selection probabilities may sum to 1 +- 1e-9, and
-    # multinomial rejects cell probabilities whose sum exceeds 1.
-    cell_p /= cell_p.sum()
+    cell_p = _cell_probabilities(config)
     p_d = config.frame.p_d
     # Detection probabilities depend only on the (small) pair number.
     # The table is long enough that Poisson draws above it have
@@ -206,70 +218,72 @@ def empirical_stats(
     }
 
 
-def _trial_covered(
-    config: SimConfig, eps_pe: float, method: str, trial: int
-) -> bool:
-    """Whether one reseeded session's intervals all cover the analytic values."""
-    tally = simulate_session(replace(config, seed=config.seed ^ trial))
-    for role, _lam, p_sel in config.intensities.roles():
-        iv = fluctuation.interval(
-            tally.empirical_p(role),
-            p_sel,
-            config.p_t,
-            config.n_pulses,
-            eps_pe,
-            method,
+def _estimation_counts(
+    config: SimConfig, trials: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield ``(k, roles)`` arrays of DD frames and coincidences per slice.
+
+    Slices of at most ``_CHUNK`` cell counts bound a long run's memory.
+    """
+    cell_p = _cell_probabilities(config)
+    p_role = [
+        physics.postselection_prob_series(
+            lam,
+            config.phys.eta_alice,
+            config.phys.eta_bob,
+            config.channel.eta_t,
+            config.frame.p_d,
         )
-        if not iv.p_minus <= config.analytic_postselection(role) <= iv.p_plus:
-            return False
-    return True
-
-
-def _coverage_chunk(args: tuple[SimConfig, float, str, int, int]) -> int:
-    config, eps_pe, method, start, stop = args
-    return sum(
-        _trial_covered(config, eps_pe, method, trial) for trial in range(start, stop)
-    )
+        for _, lam, _p in config.intensities.roles()
+    ]
+    rng = np.random.Generator(np.random.Philox(key=config.seed & _SEED_MASK))
+    per_slice = max(1, _CHUNK // cell_p.size)
+    for start in range(0, trials, per_slice):
+        k = min(per_slice, trials - start)
+        frames = rng.multinomial(int(config.n_pulses), cell_p, size=k)
+        frames = frames[:, PAIRINGS.index("DD") :: len(PAIRINGS)]
+        yield frames, rng.binomial(frames, p_role)
 
 
 def coverage_experiment(
-    config: SimConfig,
-    eps_pe: float,
-    method: str,
-    trials: int,
-    *,
-    parallel: int = 1,
+    config: SimConfig, eps_pe: float, method: str, trials: int
 ) -> float:
     """Empirical coverage of the fluctuation intervals.
 
-    Runs independent sessions (trial ``i`` reseeded as ``seed XOR i``),
-    builds the interval of the chosen method around each empirical
-    postselection probability, and returns the fraction of sessions in
-    which every intensity's interval contains the analytic value.  The
-    exact method models the infinite-sample limit, where the measured
-    value is the analytic one, so its interval always covers.  Trials
-    are independent and may run across ``parallel`` worker processes;
-    the per-trial seed derivation keeps the result identical either way.
+    Draws the estimation cells of ``trials`` independent sessions at
+    count level (see the module docstring), builds the interval of the
+    chosen method around each empirical postselection probability, and
+    returns the fraction of sessions in which every intensity's interval
+    contains the analytic value.  A session without DD frames for some
+    intensity raises :class:`EstimationImpossibleError`.  The exact
+    method models the infinite-sample limit, where the measured value is
+    the analytic one, so its interval always covers.
     """
     if trials < 100:
         raise DomainError(f"need at least 100 trials, got {trials}")
     if method == "exact":
         return 1.0
-    if parallel <= 1:
-        covered = _coverage_chunk((config, eps_pe, method, 0, trials))
-        return covered / trials
-    from concurrent.futures import ProcessPoolExecutor
+    roles = config.intensities.roles()
+    p_true = [config.analytic_postselection(role) for role, _lam, _p in roles]
 
-    bounds = [
-        (trials * k // parallel, trials * (k + 1) // parallel)
-        for k in range(parallel)
-    ]
-    with ProcessPoolExecutor(max_workers=parallel) as pool:
-        counts = pool.map(
-            _coverage_chunk,
-            [(config, eps_pe, method, start, stop) for start, stop in bounds],
+    def covers(k: int, p_hat: float) -> bool:
+        p_sel = roles[k][2]
+        iv = fluctuation.interval(
+            p_hat, p_sel, config.p_t, config.n_pulses, eps_pe, method
         )
-        return sum(counts) / trials
+        return iv.p_minus <= p_true[k] <= iv.p_plus
+
+    covered = 0
+    for frames, hits in _estimation_counts(config, trials):
+        empty = np.flatnonzero(frames.min(axis=0) == 0)
+        if empty.size:
+            raise EstimationImpossibleError(
+                "estimation impossible: no DD frames for intensity "
+                f"{roles[empty[0]][0]!r}"
+            )
+        for p_hat in (hits / frames).tolist():
+            covered += all(covers(k, p) for k, p in enumerate(p_hat))
+    return covered / trials
 
 
 def format_tally(tally: SessionTally) -> str:

@@ -43,9 +43,9 @@ def transmittance(alpha: float, length_km: float) -> float:
 
     Returns ``10**(-alpha * length_km / 10)``, in ``(0, 1]``.
     """
-    if alpha < 0.0:
+    if not alpha >= 0.0:
         raise DomainError(f"fiber loss must be >= 0 dB/km, got {alpha}")
-    if length_km < 0.0:
+    if not length_km >= 0.0:
         raise DomainError(f"channel length must be >= 0 km, got {length_km}")
     return 10.0 ** (-alpha * length_km / 10.0)
 
@@ -229,12 +229,12 @@ class FrameParams:
     zeta: float
 
     def __post_init__(self) -> None:
-        if self.t_f <= 0.0:
-            raise DomainError(f"t_f must be > 0, got {self.t_f}")
-        if self.delta_cor <= 0.0:
-            raise DomainError(f"delta_cor must be > 0, got {self.delta_cor}")
+        if not 0.0 < self.t_f < math.inf:
+            raise DomainError(f"t_f must be finite and > 0, got {self.t_f}")
+        if not 0.0 < self.delta_cor < math.inf:
+            raise DomainError(f"delta_cor must be finite and > 0, got {self.delta_cor}")
         _check_unit_interval(p_d=self.p_d)
-        if self.zeta < 0.0:
+        if not self.zeta >= 0.0:
             raise DomainError(f"zeta must be >= 0, got {self.zeta}")
 
     @classmethod
@@ -254,8 +254,10 @@ class ChannelPoint:
     eta_t: float
 
     def __post_init__(self) -> None:
-        if self.length_km < 0.0:
-            raise DomainError(f"length_km must be >= 0, got {self.length_km}")
+        if not 0.0 <= self.length_km < math.inf:
+            raise DomainError(
+                f"length_km must be finite and >= 0, got {self.length_km}"
+            )
         if not 0.0 < self.eta_t <= 1.0:
             raise DomainError(f"eta_t must lie in (0, 1], got {self.eta_t}")
 

@@ -63,26 +63,6 @@ _SECTIONS = {
     "security_model": {"model", "table"},
 }
 
-_FLOAT_KEYS = {
-    ("physical", "alpha"),
-    ("physical", "eta_alice"),
-    ("physical", "eta_bob"),
-    ("physical", "r_dc"),
-    ("physical", "delta_j"),
-    ("physical", "delta_coh"),
-    ("physical", "delta_delta"),
-    ("protocol", "mu"),
-    ("protocol", "v1"),
-    ("protocol", "v2"),
-    ("protocol", "p_t"),
-    ("protocol", "beta"),
-    ("protocol", "delta_phi"),
-    ("epsilons", "eps_pe"),
-    ("epsilons", "eps_ec"),
-    ("epsilons", "eps_bar"),
-    ("epsilons", "eps_pa"),
-}
-
 
 @dataclass(frozen=True)
 class Scenario:

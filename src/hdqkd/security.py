@@ -93,8 +93,8 @@ def _validate_query(
 ) -> None:
     if not 2 <= d < math.inf or int(d) != d:
         raise DomainError(f"dimension must be an integer >= 2, got {d}")
-    if not (delta_coh > 0.0 and delta_cor > 0.0):
-        raise DomainError("coherence and correlation times must be > 0")
+    if not (0.0 < delta_coh < math.inf and 0.0 < delta_cor < math.inf):
+        raise DomainError("coherence and correlation times must be finite and > 0")
     if not (zeta_t >= 0.0 and zeta_w >= 0.0):
         raise DomainError(
             f"excess-noise factors must be >= 0, got ({zeta_t}, {zeta_w})"

@@ -4,6 +4,7 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from conftest import true_quantities
@@ -217,11 +218,76 @@ class TestCoverage:
         config = make_config(n_pulses=100_000, seed=31)
         assert coverage_experiment(config, 0.01, "hoeffding", 120) >= 0.98
 
-    def test_parallel_matches_serial(self):
+    def test_same_seed_same_coverage(self):
+        # eps = 0.9 makes the intervals narrow enough to miss sometimes,
+        # so the fraction depends on the draws.
         config = make_config(n_pulses=50_000, seed=77)
-        serial = coverage_experiment(config, 0.05, "hoeffding", 100)
-        parallel = coverage_experiment(config, 0.05, "hoeffding", 100, parallel=2)
-        assert serial == parallel
+        first = coverage_experiment(config, 0.9, "hoeffding", 300)
+        assert 0.0 < first < 1.0
+        assert coverage_experiment(config, 0.9, "hoeffding", 300) == first
+        other = replace(config, seed=78)
+        assert coverage_experiment(other, 0.9, "hoeffding", 300) != first
+
+    def test_trial_without_dd_frames_rejected(self):
+        # Five pulses leave most trials without DD frames for some role.
+        config = make_config(n_pulses=5, seed=3)
+        with pytest.raises(EstimationImpossibleError, match="no DD frames"):
+            coverage_experiment(config, 0.01, "hoeffding", 100)
+
+    def test_every_trial_of_every_slice_counted(self, monkeypatch):
+        # With certain dark counts every interval covers P = 1, so a
+        # slice that dropped or repeated trials would move the fraction
+        # off 1.  Slices of 7 trials do not divide 100.
+        monkeypatch.setattr(montecarlo, "_CHUNK", 7 * 9)
+        config = make_config(p_d=1.0, n_pulses=10_000)
+        assert coverage_experiment(config, 0.01, "hoeffding", 100) == 1.0
+
+    @pytest.mark.parametrize("eps_pe", [1e-3, 1e-4])
+    @pytest.mark.parametrize("method", ["hoeffding", "chernoff"])
+    def test_coverage_within_union_budget(self, eps_pe, method):
+        # Each role's interval misses with probability at most eps_pe, so
+        # a trial misses with probability at most |roles| * eps_pe.  The
+        # Wilson lower bound (z = 5) on the observed miss fraction must
+        # not exceed that budget.
+        scenario = parse_config("", preset="fig2c")
+        config = scenario.sim_config(0.0, seed=6_021_023, n_pulses=10_000_000)
+        trials, z = 20_000, 5.0
+        miss = 1.0 - coverage_experiment(config, eps_pe, method, trials)
+        centre = miss + z * z / (2 * trials)
+        spread = z * math.sqrt(miss * (1 - miss) / trials + z * z / (4 * trials**2))
+        wilson_lb = (centre - spread) / (1 + z * z / trials)
+        assert wilson_lb <= len(config.intensities.roles()) * eps_pe
+
+
+class TestCountLevelSampler:
+    def test_dd_coincidences_match_frame_level_sessions(self):
+        # The count-level draw of the coverage experiment and the
+        # frame-level sessions must agree in distribution, per role's DD
+        # coincidences, in the multi-pair regime where the Poisson
+        # mixture matters.
+        config = replace(
+            make_config(length_km=20.0, mu=2.0, eta=0.5, n_pulses=20_000),
+            p_t=0.3,
+        )
+        trials = 1000
+        roles = [role for role, _lam, _p in config.intensities.roles()]
+        sessions = (
+            simulate_session(replace(config, seed=config.seed ^ i))
+            for i in range(trials)
+        )
+        frame_level = np.array(
+            [[tally.coincidences(role, "DD") for role in roles] for tally in sessions]
+        )
+        count_level = np.concatenate(
+            [hits for _frames, hits in montecarlo._estimation_counts(config, trials)]
+        )
+        assert count_level.shape == frame_level.shape
+        for a, b in zip(frame_level.T, count_level.T):
+            z = (a.mean() - b.mean()) / math.sqrt(
+                (a.var(ddof=1) + b.var(ddof=1)) / trials
+            )
+            assert abs(z) <= 5.0
+            assert 0.8 <= a.var(ddof=1) / b.var(ddof=1) <= 1.25
 
 
 class TestStatisticalSoundness:

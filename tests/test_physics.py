@@ -245,6 +245,25 @@ class TestParamTypes:
         with pytest.raises(DomainError, match=field):
             PhysicalParams(**{field: math.inf})
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: FrameParams(t_f=math.nan, delta_cor=1.0, p_d=0.1, zeta=0.0),
+            lambda: FrameParams(t_f=1.0, delta_cor=math.nan, p_d=0.1, zeta=0.0),
+            lambda: FrameParams(t_f=1.0, delta_cor=1.0, p_d=0.1, zeta=math.nan),
+            lambda: FrameParams(t_f=math.inf, delta_cor=1.0, p_d=0.1, zeta=0.0),
+            lambda: ChannelPoint(length_km=math.nan, eta_t=0.5),
+            lambda: ChannelPoint(length_km=math.inf, eta_t=0.5),
+            lambda: transmittance(0.2, math.nan),
+            lambda: transmittance(math.nan, 10.0),
+        ],
+        ids=["t_f-nan", "delta_cor-nan", "zeta-nan", "t_f-inf", "length-nan",
+             "length-inf", "transmittance-length-nan", "transmittance-alpha-nan"],
+    )
+    def test_frame_and_channel_non_finite_rejected(self, build):
+        with pytest.raises(DomainError):
+            build()
+
     def test_channel_point(self):
         point = ChannelPoint.from_length(0.2, 50.0)
         assert point.eta_t == pytest.approx(0.1, rel=1e-14)

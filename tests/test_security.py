@@ -88,6 +88,8 @@ class TestTableModel:
             (DCOH, dcor(8), 0.0, math.nan),
             (math.nan, dcor(8), 0.0, 0.0),
             (DCOH, math.nan, 0.0, 0.0),
+            (math.inf, dcor(8), 0.0, 0.0),
+            (DCOH, math.inf, 0.0, 0.0),
         ]
         for model in (TableSecurityModel.from_text(SMALL_TABLE), GaussianSecurityModel()):
             for args in bad:
