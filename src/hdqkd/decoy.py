@@ -3,7 +3,10 @@
 Given fluctuation-adjusted postselection probabilities for the signal
 and decoy intensities, these functions bound the vacuum yield, the
 single-pair yield, the single-pair fraction of the postselected signal
-events and the excess-noise factors.  Lower bounds are computed from the
+events and the excess-noise factors.  One estimator serves single- and
+two-decoy operation: each bound iterates the intensities of an
+:class:`IntensityConfig`, the one place where the decoy mode is decided
+and the intensity ordering checked.  Lower bounds are computed from the
 pessimistic ends of the intervals, upper bounds from the optimistic
 ends, so every bound stays conservative as the intervals widen.
 
@@ -15,10 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Mapping
 
 from . import fluctuation, physics
-from .errors import ComputationError, DomainError, NoKeyError
+from .errors import DomainError, NoKeyError
 from .fluctuation import ChernoffApplicability
 from .physics import ChannelPoint, FrameParams, PhysicalParams
 
@@ -34,8 +38,7 @@ __all__ = [
     "expected_stats",
     "vacuum_yield_bounds",
     "single_pair_yield_lower",
-    "single_pair_fraction_lower_two",
-    "single_pair_fraction_lower_single",
+    "single_pair_fraction_lower",
     "excess_noise_upper",
     "attach_fluctuation",
     "estimate_bounds",
@@ -59,7 +62,9 @@ class IntensityConfig:
     Two-decoy mode requires ``mu > v1 + v2`` and ``v1 > v2 >= 0``; the
     weakest selection probability is implied as the remainder.  In
     single-decoy mode ``v1`` holds the lone decoy intensity and must
-    satisfy ``mu > v1 > 0``.
+    satisfy ``mu > v1 > 0``.  Both modes must also keep the estimators'
+    denominator ``mu*v1 - mu*v2 - v1^2 + v2^2`` (``v2 = 0`` with one
+    decoy) positive in floating point, which rejects infinite intensities.
     """
 
     mode: str
@@ -107,6 +112,14 @@ class IntensityConfig:
                     "selection probabilities must sum to at most 1, "
                     f"got {self.p_mu + self.p_v1}"
                 )
+        # An infinite mu makes den NaN (inf - inf, or inf * 0 with one decoy).
+        v2 = self.v2 or 0.0
+        den = self.mu * self.v1 - self.mu * v2 - self.v1 * self.v1 + v2 * v2
+        if not (den > 0.0):
+            raise DomainError(
+                "intensities must be finite with mu*v1 - mu*v2 - v1^2 + v2^2 > 0, "
+                f"got {den} (mu={self.mu}, v1={self.v1}, v2={self.v2})"
+            )
 
     @classmethod
     def two_decoy(
@@ -127,7 +140,8 @@ class IntensityConfig:
         return 1.0 - self.p_mu - self.p_v1
 
     def roles(self) -> list[tuple[str, float, float]]:
-        """(role, intensity, selection probability) triples in fixed order."""
+        """(role, intensity, selection probability) triples, signal first
+        and strictly descending in intensity."""
         if self.mode == TWO_DECOY:
             assert self.v2 is not None
             return [
@@ -257,184 +271,96 @@ def expected_stats(
 
 
 def vacuum_yield_bounds(
-    stats: MeasuredStats, v1: float, v2: float, p_d: float
+    stats: MeasuredStats, intensities: IntensityConfig, p_d: float
 ) -> VacuumYieldBounds:
-    """Bound the vacuum yield from the two decoy intensities.
+    """Bound the vacuum yield.
 
-    The lower bound is the decoy linear combination floored at the
-    dark-count-only value ``p_d**2``; the upper bound is ``p_d``.
+    The upper bound is ``p_d`` and the lower bound the dark-count-only
+    value ``p_d**2``.  A pair of decoys raises the lower bound to their
+    linear combination where that is larger; with one decoy the floor
+    stands.
     """
-    if v1 <= v2:
-        raise DomainError(f"decoy intensities must satisfy v1 > v2, got {v1}, {v2}")
-    if v2 < 0.0:
-        raise DomainError(f"v2 must be >= 0, got {v2}")
     if not 0.0 <= p_d <= 1.0:
         raise DomainError(f"p_d must lie in [0, 1], got {p_d}")
-    s1, s2 = stats["v1"], stats["v2"]
-    combination = (
-        v1 * s2.p_minus * math.exp(v2) - v2 * s1.p_plus * math.exp(v1)
-    ) / (v1 - v2)
-    lower = _clamp01(max(combination, p_d * p_d))
-    upper = _clamp01(p_d)
+    lower = p_d * p_d
+    for (r1, v1, _p1), (r2, v2, _p2) in combinations(intensities.roles()[1:], 2):
+        s1, s2 = stats[r1], stats[r2]
+        combination = (
+            v1 * s2.p_minus * math.exp(v2) - v2 * s1.p_plus * math.exp(v1)
+        ) / (v1 - v2)
+        lower = max(combination, p_d * p_d)
+    lower, upper = _clamp01(lower), _clamp01(p_d)
     if lower > upper:
         return VacuumYieldBounds(lower=upper, upper=upper, degenerate=True)
     return VacuumYieldBounds(lower=lower, upper=upper)
 
 
-def _two_decoy_denominator(mu: float, v1: float, v2: float) -> float:
-    den = mu * v1 - mu * v2 - v1 * v1 + v2 * v2
-    if den <= 0.0:
-        raise DomainError(
-            "two-decoy combination requires mu*v1 - mu*v2 - v1^2 + v2^2 > 0, "
-            f"got {den} (mu={mu}, v1={v1}, v2={v2})"
-        )
-    return den
-
-
 def single_pair_yield_lower(
-    stats: MeasuredStats, mu: float, v1: float, v2: float, gamma0_lb: float
+    stats: MeasuredStats, intensities: IntensityConfig, gamma0_lb: float
 ) -> float:
     """Lower-bound the single-pair yield from both decoy intensities.
 
     Uses the pessimistic end for the stronger decoy, the optimistic end
     for the weaker decoy and the signal, and the vacuum-yield lower bound
-    (whose sign makes it the conservative choice here).
+    (whose sign makes it the conservative choice here).  Needs two
+    decoys; with one, :func:`estimate_bounds` derives the yield from the
+    fraction bound.
     """
-    den = _two_decoy_denominator(mu, v1, v2)
-    s_mu, s1, s2 = stats["mu"], stats["v1"], stats["v2"]
+    if intensities.mode != TWO_DECOY:
+        raise DomainError("the single-pair yield bound needs two decoys")
+    (_r, mu, _p), (r1, v1, _p1), (r2, v2, _p2) = intensities.roles()
+    den = mu * v1 - mu * v2 - v1 * v1 + v2 * v2
     value = (mu / den) * (
-        s1.p_minus * math.exp(v1)
-        - s2.p_plus * math.exp(v2)
+        stats[r1].p_minus * math.exp(v1)
+        - stats[r2].p_plus * math.exp(v2)
         - ((v1 * v1 - v2 * v2) / (mu * mu))
-        * (s_mu.p_plus * math.exp(mu) - gamma0_lb)
+        * (stats["mu"].p_plus * math.exp(mu) - gamma0_lb)
     )
     return _clamp01(value)
 
 
-def single_pair_fraction_lower_two(
-    stats: MeasuredStats,
-    mu: float,
-    v1: float,
-    v2: float,
-    gamma0_lb: float,
-    gamma0_ub: float,
+def single_pair_fraction_lower(
+    stats: MeasuredStats, intensities: IntensityConfig, gamma0: VacuumYieldBounds
 ) -> float:
     """Lower-bound the single-pair fraction of postselected signal events.
 
-    Takes the best of two routes: the combination of both decoys (with
-    the vacuum-yield lower bound) and, for each usable decoy intensity
-    alone, a direct bound with the vacuum-yield upper bound.  When the
-    weak decoy is vacuum only the strong decoy's direct route is
-    admissible.
+    Takes the best of two kinds of route: each pair of decoys combined
+    (with the vacuum-yield lower bound), and each non-vacuum decoy alone,
+    directly (with the vacuum-yield upper bound).  Two decoys give one
+    pair and up to two direct routes; one decoy gives its direct route
+    only.
     """
-    s_mu = stats["mu"]
-    p_mu_plus = s_mu.p_plus
+    (_r, mu, _p), *decoys = intensities.roles()
+    p_mu_plus = stats["mu"].p_plus
     if p_mu_plus <= 0.0:
         return 0.0
-    den = _two_decoy_denominator(mu, v1, v2)
     mu2 = mu * mu
     branches = [
-        (mu2 / den)
+        (mu2 / (mu * v1 - mu * v2 - v1 * v1 + v2 * v2))
         * (
-            (stats["v1"].p_minus / p_mu_plus) * math.exp(v1 - mu)
-            - (stats["v2"].p_plus / p_mu_plus) * math.exp(v2 - mu)
+            (stats[r1].p_minus / p_mu_plus) * math.exp(v1 - mu)
+            - (stats[r2].p_plus / p_mu_plus) * math.exp(v2 - mu)
             - ((v1 * v1 - v2 * v2) / mu2)
-            * (1.0 - gamma0_lb * math.exp(-mu) / p_mu_plus)
+            * (1.0 - gamma0.lower * math.exp(-mu) / p_mu_plus)
         )
+        for (r1, v1, _p1), (r2, v2, _p2) in combinations(decoys, 2)
     ]
-    for role, lam in (("v1", v1), ("v2", v2)):
+    for role, lam, _p in decoys:
         direct_den = mu * lam - lam * lam
-        if lam <= 0.0 or direct_den <= 0.0:
+        if direct_den <= 0.0:  # a vacuum decoy
             continue
-        s = stats[role]
         branches.append(
             (mu2 / direct_den)
             * (
-                (s.p_minus / p_mu_plus) * math.exp(lam - mu)
+                (stats[role].p_minus / p_mu_plus) * math.exp(lam - mu)
                 - (lam * lam) / mu2
                 - ((mu2 - lam * lam) / mu2)
-                * gamma0_ub
+                * gamma0.upper
                 * math.exp(-mu)
                 / p_mu_plus
             )
         )
-    if not branches:
-        raise ComputationError("no admissible single-pair fraction branch")
     return _clamp01(max(branches))
-
-
-def single_pair_fraction_lower_single(
-    stats: MeasuredStats, mu: float, v: float, gamma0_ub: float
-) -> float:
-    """Single-decoy lower bound on the single-pair fraction."""
-    if not mu > v > 0.0:
-        raise DomainError(f"requires mu > v > 0, got mu={mu}, v={v}")
-    s_mu, s_v = stats["mu"], stats["v"]
-    p_mu_plus = s_mu.p_plus
-    if p_mu_plus <= 0.0:
-        return 0.0
-    mu2 = mu * mu
-    value = (mu2 / (mu * v - v * v)) * (
-        (s_v.p_minus / p_mu_plus) * math.exp(v - mu)
-        - (v * v) / mu2
-        - ((mu2 - v * v) / mu2) * gamma0_ub * math.exp(-mu) / p_mu_plus
-    )
-    return _clamp01(value)
-
-
-def _excess_noise_from_branches(
-    entries: list[tuple[float, IntensityStats]],
-    mu: float,
-    p_mu_plus: float,
-    kmu_lb: float,
-    basis: str,
-    cap: float,
-) -> float:
-    """Branch evaluation of one excess-noise upper bound.
-
-    ``entries`` holds (intensity, stats) pairs sorted descending by
-    intensity.  The pairwise route differences two intensities; the
-    direct route uses a single one (vacuum is skipped there).
-    """
-    candidates: list[float] = []
-    for i in range(len(entries)):
-        for j in range(i + 1, len(entries)):
-            lam1, s1 = entries[i]
-            lam2, s2 = entries[j]
-            if lam1 <= lam2:
-                continue
-            candidates.append(
-                mu
-                * math.exp(-mu)
-                / ((lam1 - lam2) * kmu_lb)
-                * (
-                    s1.phi(basis) * s1.p_plus * math.exp(lam1) / p_mu_plus
-                    - s2.phi(basis) * s2.p_minus * math.exp(lam2) / p_mu_plus
-                )
-            )
-    for lam, s in entries:
-        if lam <= 0.0:
-            continue
-        candidates.append(
-            math.exp(lam - mu)
-            * (mu * s.p_plus)
-            / (lam * p_mu_plus)
-            * s.phi(basis)
-            / kmu_lb
-        )
-    if not candidates:
-        raise ComputationError("no admissible excess-noise branch")
-    # A branch that evaluates to NaN (an inf - inf difference when the
-    # multipliers overflow) certifies nothing; min() would not skip it.
-    bound = max(
-        0.0, min((c for c in candidates if not math.isnan(c)), default=math.inf) - 1.0
-    )
-    if bound > cap:
-        raise NoKeyError(
-            f"excess-noise bound {bound:.6g} exceeds the cap {cap:.6g}; "
-            "no key can be certified"
-        )
-    return bound
 
 
 def excess_noise_upper(
@@ -446,26 +372,55 @@ def excess_noise_upper(
 ) -> tuple[float, float]:
     """Upper-bound both excess-noise factors.
 
-    Minimizes, per correlation basis, over every ordered pair of the
-    configured intensities and over every single-intensity route (vacuum
-    excluded from the latter), then subtracts the unit baseline.  A
-    vanishing single-pair fraction certifies nothing and signals "no key".
+    Minimizes, per correlation basis, over every pair of the configured
+    intensities (the pairwise route differences the stronger and the
+    weaker one) and over every single-intensity route (vacuum excluded
+    from the latter), then subtracts the unit baseline.  A vanishing
+    single-pair fraction certifies nothing and signals "no key".
     """
     if kmu_lb <= 0.0:
         raise NoKeyError("single-pair fraction bound is 0; no key can be certified")
-    s_mu = stats["mu"]
-    if s_mu.p_plus <= 0.0:
+    p_mu_plus = stats["mu"].p_plus
+    if p_mu_plus <= 0.0:
         raise NoKeyError("no signal postselection events; no key can be certified")
-    entries = sorted(
-        ((lam, stats[role]) for role, lam, _p in intensities.roles()),
-        key=lambda e: -e[0],
-    )
-    return tuple(
-        _excess_noise_from_branches(
-            entries, intensities.mu, s_mu.p_plus, kmu_lb, basis, cap
+    mu = intensities.mu
+    # roles() is strictly descending in intensity, so lam1 > lam2 below.
+    entries = [(lam, stats[role]) for role, lam, _p in intensities.roles()]
+
+    def bound(basis: str) -> float:
+        candidates = [
+            mu
+            * math.exp(-mu)
+            / ((lam1 - lam2) * kmu_lb)
+            * (
+                s1.phi(basis) * s1.p_plus * math.exp(lam1) / p_mu_plus
+                - s2.phi(basis) * s2.p_minus * math.exp(lam2) / p_mu_plus
+            )
+            for (lam1, s1), (lam2, s2) in combinations(entries, 2)
+        ]
+        candidates += [
+            math.exp(lam - mu)
+            * (mu * s.p_plus)
+            / (lam * p_mu_plus)
+            * s.phi(basis)
+            / kmu_lb
+            for lam, s in entries
+            if lam > 0.0
+        ]
+        # A branch that evaluates to NaN (an inf - inf difference when the
+        # multipliers overflow) certifies nothing; min() would not skip it.
+        value = max(
+            0.0,
+            min((c for c in candidates if not math.isnan(c)), default=math.inf) - 1.0,
         )
-        for basis in ("t", "w")
-    )
+        if value > cap:
+            raise NoKeyError(
+                f"excess-noise bound {value:.6g} exceeds the cap {cap:.6g}; "
+                "no key can be certified"
+            )
+        return value
+
+    return bound("t"), bound("w")
 
 
 def attach_fluctuation(
@@ -521,28 +476,20 @@ def estimate_bounds(
     """Run the full estimation chain for one channel point.
 
     Composes the vacuum-yield, single-pair-yield, single-pair-fraction
-    and excess-noise bounds for the configured decoy mode.  "No key"
+    and excess-noise bounds.  Only the single-pair yield depends on the
+    decoy mode: with one decoy it is implied by the fraction bound.  "No key"
     conditions are folded into the result (zero fraction bound or
     infinite noise bounds) rather than raised, so sweep drivers can emit
     an explicit no-key row.
     """
-    mu = intensities.mu
+    g0 = vacuum_yield_bounds(stats, intensities, p_d)
+    kmu_lb = single_pair_fraction_lower(stats, intensities, g0)
     if intensities.mode == TWO_DECOY:
-        v1, v2 = intensities.v1, intensities.v2
-        assert v2 is not None
-        g0 = vacuum_yield_bounds(stats, v1, v2, p_d)
-        gamma1_lb = single_pair_yield_lower(stats, mu, v1, v2, g0.lower)
-        kmu_lb = single_pair_fraction_lower_two(
-            stats, mu, v1, v2, g0.lower, g0.upper
-        )
+        gamma1_lb = single_pair_yield_lower(stats, intensities, g0.lower)
     else:
-        v = intensities.v1
-        g0 = VacuumYieldBounds(lower=_clamp01(p_d * p_d), upper=_clamp01(p_d))
-        kmu_lb = single_pair_fraction_lower_single(stats, mu, v, g0.upper)
         # Implied by the fraction bound: K = mu e^{-mu} gamma_1 / P_mu.
-        gamma1_lb = _clamp01(
-            kmu_lb * stats["mu"].p_plus * math.exp(mu) / mu
-        )
+        mu = intensities.mu
+        gamma1_lb = _clamp01(kmu_lb * stats["mu"].p_plus * math.exp(mu) / mu)
     try:
         zeta_t_ub, zeta_w_ub = excess_noise_upper(stats, intensities, kmu_lb, cap=cap)
     except NoKeyError:

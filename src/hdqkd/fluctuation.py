@@ -124,7 +124,7 @@ def frames_for_estimation(p_lambda: float, p_t: float, n_pulses: float) -> float
         raise DomainError(f"p_lambda must lie in [0, 1], got {p_lambda}")
     if not 0.0 <= p_t <= 1.0:
         raise DomainError(f"p_t must lie in [0, 1], got {p_t}")
-    if n_pulses < 0:
+    if not n_pulses >= 0:
         raise DomainError(f"n_pulses must be >= 0, got {n_pulses}")
     if math.isinf(n_pulses):
         return math.inf if p_lambda > 0.0 and p_t < 1.0 else 0.0

@@ -87,7 +87,7 @@ def finite_key_terms(
         raise DomainError(f"p_mu must lie in (0, 1], got {p_mu}")
     if not 0.0 < p_t <= 1.0:
         raise DomainError(f"p_t must lie in (0, 1], got {p_t}")
-    if n_pulses < 0:
+    if not n_pulses >= 0:
         raise DomainError(f"n_pulses must be >= 0, got {n_pulses}")
     if math.isinf(n_pulses):
         return (0.0, 0.0, 0.0)

@@ -259,8 +259,9 @@ def coverage_experiment(
     method models the infinite-sample limit, where the measured value is
     the analytic one, so its interval always covers.
     """
-    if trials < 100:
-        raise DomainError(f"need at least 100 trials, got {trials}")
+    if not (100 <= trials < math.inf) or trials != int(trials):
+        raise DomainError(f"need a whole number of at least 100 trials, got {trials}")
+    trials = int(trials)
     if method == "exact":
         return 1.0
     roles = config.intensities.roles()

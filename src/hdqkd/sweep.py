@@ -204,7 +204,7 @@ def max_distance(scenario: Scenario, *, tol_km: float = 0.1) -> float:
     shows a non-monotone sign pattern, the search falls back to a fine
     grid and reports it through the logger.
     """
-    if tol_km <= 0.0:
+    if not tol_km > 0.0:
         raise DomainError(f"tol_km must be > 0, got {tol_km}")
 
     def capacity(length: float) -> float:

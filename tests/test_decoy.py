@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import exact_stats, true_quantities
 from hdqkd.decoy import (
@@ -15,14 +17,15 @@ from hdqkd.decoy import (
     attach_fluctuation,
     estimate_bounds,
     excess_noise_upper,
+    expected_stats,
     multiplier_forward,
-    single_pair_fraction_lower_single,
-    single_pair_fraction_lower_two,
+    single_pair_fraction_lower,
     single_pair_yield_lower,
     vacuum_yield_bounds,
 )
-from hdqkd.errors import ComputationError, DomainError, NoKeyError
-from hdqkd.physics import FrameParams, PhysicalParams
+from hdqkd.errors import DomainError, NoKeyError
+from hdqkd.physics import ChannelPoint, FrameParams
+from hdqkd.scenario import parse_config, preset_names
 
 mp.mp.dps = 50
 
@@ -56,12 +59,16 @@ class TestIntensityConfig:
     def test_signal_must_dominate(self):
         with pytest.raises(DomainError):
             IntensityConfig.two_decoy(0.04, 0.03, 0.02, 0.7, 0.2)
+        with pytest.raises(DomainError):  # a zero two-decoy denominator
+            IntensityConfig.two_decoy(0.05, 0.05, 0.005, 0.7, 0.2)
 
     def test_decoy_ordering(self):
         with pytest.raises(DomainError):
             IntensityConfig.two_decoy(0.1, 0.01, 0.02, 0.7, 0.2)
         with pytest.raises(DomainError):
             IntensityConfig.two_decoy(0.1, 0.05, -0.001, 0.7, 0.2)
+        with pytest.raises(DomainError):
+            IntensityConfig.two_decoy(0.1, 0.05, 0.05, 0.7, 0.2)
 
     def test_vacuum_decoy_allowed(self):
         cfg = IntensityConfig.two_decoy(0.1, 0.05, 0.0, 0.7, 0.2)
@@ -81,6 +88,37 @@ class TestIntensityConfig:
         with pytest.raises(DomainError):
             IntensityConfig.single_decoy(0.1, 0.05, 0.9, 0.2)
         assert TWO.p_v2 == pytest.approx(0.1, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "make, args",
+        [
+            (IntensityConfig.two_decoy, (math.inf, 0.05, 0.005, 0.7, 0.2)),
+            (IntensityConfig.single_decoy, (math.inf, 0.05, 0.8, 0.2)),
+        ],
+        ids=["two-decoy", "single-decoy"],
+    )
+    def test_infinite_intensity_rejected(self, make, args):
+        with pytest.raises(DomainError, match="finite"):
+            make(*args)
+
+    @settings(max_examples=200, derandomize=True)
+    @given(
+        two=st.booleans(),
+        v2=st.floats(0.0, 1.0),
+        gap1=st.floats(1e-6, 1.0),
+        gap2=st.floats(1e-6, 1.0),
+    )
+    def test_roles_signal_first_strictly_descending(self, two, v2, gap1, gap2):
+        # The estimators pair intensities in roles() order and rely on it.
+        v1 = v2 + gap1
+        mu = v1 + v2 + gap2
+        if two:
+            cfg = IntensityConfig.two_decoy(mu, v1, v2, 0.7, 0.2)
+        else:
+            cfg = IntensityConfig.single_decoy(mu, v1, 0.8, 0.2)
+        lams = [lam for _role, lam, _p in cfg.roles()]
+        assert cfg.roles()[0] == ("mu", mu, cfg.p_mu)
+        assert all(a > b for a, b in zip(lams, lams[1:]))
 
 
 class TestMultiplierForward:
@@ -106,7 +144,7 @@ class TestVacuumYieldBounds:
         # the binding lower bound.
         frame = replace(FrameParams.from_physical(default_phys), p_d=0.01)
         stats = exact_stats(TWO, default_phys, frame, 0.0)
-        bounds = vacuum_yield_bounds(stats, TWO.v1, TWO.v2, frame.p_d)
+        bounds = vacuum_yield_bounds(stats, TWO, frame.p_d)
         assert bounds.lower == pytest.approx(1e-4, rel=1e-12)
         assert bounds.upper == 0.01
         assert not bounds.degenerate
@@ -114,7 +152,7 @@ class TestVacuumYieldBounds:
     def test_vacuum_decoy_reduces_to_direct_value(self, default_phys, default_frame):
         cfg = IntensityConfig.two_decoy(0.1, 0.05, 0.0, 0.7, 0.2)
         stats = exact_stats(cfg, default_phys, default_frame, 0.0)
-        bounds = vacuum_yield_bounds(stats, cfg.v1, cfg.v2, default_frame.p_d)
+        bounds = vacuum_yield_bounds(stats, cfg, default_frame.p_d)
         # With a vacuum decoy the combination collapses onto its
         # measured postselection probability, which is the dark floor.
         assert bounds.lower == pytest.approx(stats["v2"].p_post, rel=1e-9)
@@ -122,7 +160,7 @@ class TestVacuumYieldBounds:
     def test_interval_ordering_contract(self, default_phys, default_frame):
         for length in (0.0, 50.0, 150.0):
             stats = exact_stats(TWO, default_phys, default_frame, length)
-            bounds = vacuum_yield_bounds(stats, TWO.v1, TWO.v2, default_frame.p_d)
+            bounds = vacuum_yield_bounds(stats, TWO, default_frame.p_d)
             assert bounds.lower <= bounds.upper <= default_frame.p_d
 
     def test_degenerate_interval_flagged(self):
@@ -130,14 +168,9 @@ class TestVacuumYieldBounds:
             "v1": IntensityStats(0.0, 0.0, 0.0, 1.0, 1.0),
             "v2": IntensityStats(0.9, 0.9, 0.9, 1.0, 1.0),
         }
-        bounds = vacuum_yield_bounds(stats, 0.05, 0.005, 1e-7)
+        bounds = vacuum_yield_bounds(stats, TWO, 1e-7)
         assert bounds.degenerate
         assert bounds.lower == bounds.upper == 1e-7
-
-    def test_equal_decoys_rejected(self, default_phys, default_frame):
-        stats = exact_stats(TWO, default_phys, default_frame, 0.0)
-        with pytest.raises(DomainError):
-            vacuum_yield_bounds(stats, 0.05, 0.05, 1e-7)
 
 
 class TestSinglePairYieldLower:
@@ -145,7 +178,7 @@ class TestSinglePairYieldLower:
         frame = replace(FrameParams.from_physical(default_phys), p_d=0.0)
         stats = exact_stats(TWO, default_phys, frame, 0.0)
         gamma1_true = 0.93 * 0.93
-        bound = single_pair_yield_lower(stats, 0.1, 0.05, 0.005, 0.0)
+        bound = single_pair_yield_lower(stats, TWO, 0.0)
         assert 0.0 < bound <= gamma1_true
 
     def test_all_dark_channel(self):
@@ -153,27 +186,27 @@ class TestSinglePairYieldLower:
             role: IntensityStats(0.0, 0.0, 0.0, 0.0, 0.0)
             for role in ("mu", "v1", "v2")
         }
-        assert single_pair_yield_lower(stats, 0.1, 0.05, 0.005, 0.0) == 0.0
+        assert single_pair_yield_lower(stats, TWO, 0.0) == 0.0
 
     def test_monotone_in_fluctuation_width(self, default_phys, default_frame):
         stats = exact_stats(TWO, default_phys, default_frame, 25.0)
-        prev = single_pair_yield_lower(stats, 0.1, 0.05, 0.005, 0.0)
+        prev = single_pair_yield_lower(stats, TWO, 0.0)
         for width in (1e-6, 1e-5, 1e-4, 1e-3, 1e-2):
             wide = widen_all(stats, width, width)
-            bound = single_pair_yield_lower(wide, 0.1, 0.05, 0.005, 0.0)
+            bound = single_pair_yield_lower(wide, TWO, 0.0)
             assert bound <= prev + 1e-15
             prev = bound
         assert prev == 0.0  # eventually clamps
 
-    def test_bad_denominator(self, default_phys, default_frame):
-        stats = exact_stats(TWO, default_phys, default_frame, 0.0)
-        with pytest.raises(DomainError):
-            single_pair_yield_lower(stats, 0.05, 0.05, 0.005, 0.0)
+    def test_needs_two_decoys(self, default_phys, default_frame):
+        stats = exact_stats(SINGLE, default_phys, default_frame, 0.0)
+        with pytest.raises(DomainError, match="two decoys"):
+            single_pair_yield_lower(stats, SINGLE, 0.0)
 
     def test_oracle_two_decoy_expression(self, default_phys, default_frame):
         stats = exact_stats(TWO, default_phys, default_frame, 30.0)
-        g0 = vacuum_yield_bounds(stats, TWO.v1, TWO.v2, default_frame.p_d)
-        bound = single_pair_yield_lower(stats, TWO.mu, TWO.v1, TWO.v2, g0.lower)
+        g0 = vacuum_yield_bounds(stats, TWO, default_frame.p_d)
+        bound = single_pair_yield_lower(stats, TWO, g0.lower)
         mu, v1, v2 = (mp.mpf(x) for x in (TWO.mu, TWO.v1, TWO.v2))
         p = {r: mp.mpf(stats[r].p_post) for r in ("mu", "v1", "v2")}
         oracle = (
@@ -192,27 +225,22 @@ class TestSinglePairFraction:
     def test_two_decoy_sound(self, default_phys, default_frame):
         for length in (0.0, 50.0, 120.0):
             stats = exact_stats(TWO, default_phys, default_frame, length)
-            g0 = vacuum_yield_bounds(stats, TWO.v1, TWO.v2, default_frame.p_d)
-            bound = single_pair_fraction_lower_two(
-                stats, TWO.mu, TWO.v1, TWO.v2, g0.lower, g0.upper
-            )
+            g0 = vacuum_yield_bounds(stats, TWO, default_frame.p_d)
+            bound = single_pair_fraction_lower(stats, TWO, g0)
             _, k_true = true_quantities(TWO, default_phys, default_frame, length)
             assert 0.0 < bound <= k_true + 1e-15
 
     def test_single_decoy_sound_and_dominated(self, default_phys, default_frame):
         for length in (0.0, 50.0, 120.0):
             stats_s = exact_stats(SINGLE, default_phys, default_frame, length)
-            bound_s = single_pair_fraction_lower_single(
-                stats_s, SINGLE.mu, SINGLE.v1, default_frame.p_d
-            )
+            g0_s = vacuum_yield_bounds(stats_s, SINGLE, default_frame.p_d)
+            bound_s = single_pair_fraction_lower(stats_s, SINGLE, g0_s)
             _, k_true = true_quantities(SINGLE, default_phys, default_frame, length)
             assert 0.0 < bound_s <= k_true + 1e-15
             # Same truth, matched strong decoy: two-decoy can only help.
             stats_t = exact_stats(TWO, default_phys, default_frame, length)
-            g0 = vacuum_yield_bounds(stats_t, TWO.v1, TWO.v2, default_frame.p_d)
-            bound_t = single_pair_fraction_lower_two(
-                stats_t, TWO.mu, TWO.v1, TWO.v2, g0.lower, g0.upper
-            )
+            g0 = vacuum_yield_bounds(stats_t, TWO, default_frame.p_d)
+            bound_t = single_pair_fraction_lower(stats_t, TWO, g0)
             assert bound_t >= bound_s - 1e-15
 
     def test_vacuum_weak_decoy_restricts_direct_route(
@@ -220,43 +248,31 @@ class TestSinglePairFraction:
     ):
         cfg = IntensityConfig.two_decoy(0.1, 0.05, 0.0, 0.7, 0.2)
         stats = exact_stats(cfg, default_phys, default_frame, 10.0)
-        g0 = vacuum_yield_bounds(stats, cfg.v1, cfg.v2, default_frame.p_d)
-        bound = single_pair_fraction_lower_two(
-            stats, cfg.mu, cfg.v1, cfg.v2, g0.lower, g0.upper
-        )
+        g0 = vacuum_yield_bounds(stats, cfg, default_frame.p_d)
+        bound = single_pair_fraction_lower(stats, cfg, g0)
         assert 0.0 < bound <= 1.0  # the vacuum branch is skipped, not fatal
 
     def test_huge_fluctuation_clamps_to_zero(self, default_phys, default_frame):
         stats = exact_stats(TWO, default_phys, default_frame, 0.0)
         dead = widen_all(stats, 1.0, 1.0)
-        g0 = vacuum_yield_bounds(dead, TWO.v1, TWO.v2, default_frame.p_d)
-        assert (
-            single_pair_fraction_lower_two(
-                dead, TWO.mu, TWO.v1, TWO.v2, g0.lower, g0.upper
-            )
-            == 0.0
-        )
+        g0 = vacuum_yield_bounds(dead, TWO, default_frame.p_d)
+        assert single_pair_fraction_lower(dead, TWO, g0) == 0.0
 
     def test_monotone_in_width(self, default_phys, default_frame):
         stats = exact_stats(TWO, default_phys, default_frame, 40.0)
-        g0 = vacuum_yield_bounds(stats, TWO.v1, TWO.v2, default_frame.p_d)
-        prev = single_pair_fraction_lower_two(
-            stats, TWO.mu, TWO.v1, TWO.v2, g0.lower, g0.upper
-        )
+        g0 = vacuum_yield_bounds(stats, TWO, default_frame.p_d)
+        prev = single_pair_fraction_lower(stats, TWO, g0)
         for width in (1e-6, 1e-4, 1e-2):
             wide = widen_all(stats, width, width)
-            g0w = vacuum_yield_bounds(wide, TWO.v1, TWO.v2, default_frame.p_d)
-            bound = single_pair_fraction_lower_two(
-                wide, TWO.mu, TWO.v1, TWO.v2, g0w.lower, g0w.upper
-            )
+            g0w = vacuum_yield_bounds(wide, TWO, default_frame.p_d)
+            bound = single_pair_fraction_lower(wide, TWO, g0w)
             assert bound <= prev + 1e-15
             prev = bound
 
     def test_oracle_direct_route(self, default_phys, default_frame):
         stats = exact_stats(SINGLE, default_phys, default_frame, 20.0)
-        bound = single_pair_fraction_lower_single(
-            stats, SINGLE.mu, SINGLE.v1, default_frame.p_d
-        )
+        g0 = vacuum_yield_bounds(stats, SINGLE, default_frame.p_d)
+        bound = single_pair_fraction_lower(stats, SINGLE, g0)
         mu, v = mp.mpf(SINGLE.mu), mp.mpf(SINGLE.v1)
         p_mu = mp.mpf(stats["mu"].p_post)
         p_v = mp.mpf(stats["v"].p_post)
@@ -277,10 +293,8 @@ class TestExcessNoiseUpper:
     def test_sound_at_zero_fluctuation(self, default_phys, default_frame):
         for length in (0.0, 60.0):
             stats = exact_stats(TWO, default_phys, default_frame, length)
-            g0 = vacuum_yield_bounds(stats, TWO.v1, TWO.v2, default_frame.p_d)
-            kmu = single_pair_fraction_lower_two(
-                stats, TWO.mu, TWO.v1, TWO.v2, g0.lower, g0.upper
-            )
+            g0 = vacuum_yield_bounds(stats, TWO, default_frame.p_d)
+            kmu = single_pair_fraction_lower(stats, TWO, g0)
             zt, zw = excess_noise_upper(stats, TWO, kmu)
             assert zt >= default_frame.zeta - 1e-15
             assert zw == zt  # symmetric inputs
@@ -304,13 +318,10 @@ class TestExcessNoiseUpper:
         for length in (0.0, 60.0):
             stats_t = exact_stats(TWO, default_phys, default_frame, length)
             stats_s = exact_stats(SINGLE, default_phys, default_frame, length)
-            g0 = vacuum_yield_bounds(stats_t, TWO.v1, TWO.v2, default_frame.p_d)
-            k_t = single_pair_fraction_lower_two(
-                stats_t, TWO.mu, TWO.v1, TWO.v2, g0.lower, g0.upper
-            )
-            k_s = single_pair_fraction_lower_single(
-                stats_s, SINGLE.mu, SINGLE.v1, default_frame.p_d
-            )
+            g0 = vacuum_yield_bounds(stats_t, TWO, default_frame.p_d)
+            k_t = single_pair_fraction_lower(stats_t, TWO, g0)
+            g0_s = vacuum_yield_bounds(stats_s, SINGLE, default_frame.p_d)
+            k_s = single_pair_fraction_lower(stats_s, SINGLE, g0_s)
             zt_t, _ = excess_noise_upper(stats_t, TWO, k_t)
             zt_s, _ = excess_noise_upper(stats_s, SINGLE, k_s)
             assert zt_s >= zt_t - 1e-15
@@ -374,6 +385,36 @@ class TestExcessNoiseUpper:
         direct_v = mp.e ** (v - mu) * mu * p_v / (v * p_mu) * phi_v / k
         oracle = min(pairwise, direct_mu, direct_v) - 1
         assert zt == pytest.approx(float(oracle), rel=1e-10)
+
+
+class TestWiderIntervalsNeverHelp:
+    def test_every_preset_at_1e10_pulses(self):
+        # Widening every interval never raises kmu_lb and never lowers
+        # either excess-noise bound: 17 presets x 31 lengths x 8 widths.
+        for name in preset_names():
+            s = parse_config("", preset=name).with_overrides(n_pulses=1e10)
+            for length in range(0, 301, 10):
+                channel = ChannelPoint.from_length(s.phys.alpha, length)
+                model = expected_stats(
+                    s.intensities, s.phys, s.frame, channel, s.frame.zeta, s.delta_phi
+                )
+                stats, _ = attach_fluctuation(
+                    model,
+                    s.intensities,
+                    s.p_t,
+                    s.n_pulses,
+                    s.budget.eps_pe,
+                    s.method,
+                    enforce_applicability=False,
+                )
+                prev = estimate_bounds(stats, s.intensities, s.frame.p_d)
+                for width in (1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0):
+                    wide = widen_all(stats, width, width)
+                    b = estimate_bounds(wide, s.intensities, s.frame.p_d)
+                    assert b.kmu_lb <= prev.kmu_lb, (name, length, width)
+                    assert b.zeta_t_ub >= prev.zeta_t_ub, (name, length, width)
+                    assert b.zeta_w_ub >= prev.zeta_w_ub, (name, length, width)
+                    prev = b
 
 
 class TestEstimateBounds:

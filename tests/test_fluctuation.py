@@ -39,6 +39,11 @@ class TestFrames:
     def test_infinite_sentinel(self):
         assert math.isinf(frames_for_estimation(0.2, 0.5, math.inf))
 
+    @pytest.mark.parametrize("n_pulses", [-1.0, math.nan])
+    def test_bad_pulse_count_rejected(self, n_pulses):
+        with pytest.raises(DomainError, match="n_pulses"):
+            frames_for_estimation(0.2, 0.5, n_pulses)
+
 
 class TestHoeffding:
     def test_oracle(self):

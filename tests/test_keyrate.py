@@ -62,6 +62,11 @@ class TestFiniteKeyTerms:
         _, _, smooth16 = finite_key_terms(0.7, 0.5, 1e12, 16, budget)
         assert smooth16 == pytest.approx(smooth8 * 35.0 / 19.0, rel=1e-14)
 
+    @pytest.mark.parametrize("n_pulses", [-1.0, math.nan])
+    def test_bad_pulse_count_rejected(self, n_pulses):
+        with pytest.raises(DomainError, match="n_pulses"):
+            finite_key_terms(0.7, 0.5, n_pulses, 8, EpsilonBudget())
+
     def test_no_key_frames(self):
         with pytest.raises(ComputationError, match="no key frames"):
             finite_key_terms(0.7, 0.5, 0.0, 8, EpsilonBudget())

@@ -214,6 +214,17 @@ class TestCoverage:
         with pytest.raises(DomainError):
             coverage_experiment(make_config(), 0.01, "hoeffding", 10)
 
+    @pytest.mark.parametrize("trials", [120.5, math.nan, math.inf])
+    def test_non_integral_trials_rejected(self, trials):
+        with pytest.raises(DomainError, match="trials"):
+            coverage_experiment(make_config(), 0.01, "hoeffding", trials)
+
+    def test_integral_float_trials_accepted(self):
+        config = make_config(n_pulses=100_000, seed=31)
+        assert coverage_experiment(config, 0.01, "hoeffding", 120.0) == (
+            coverage_experiment(config, 0.01, "hoeffding", 120)
+        )
+
     def test_hoeffding_coverage_small_run(self):
         config = make_config(n_pulses=100_000, seed=31)
         assert coverage_experiment(config, 0.01, "hoeffding", 120) >= 0.98

@@ -1,6 +1,8 @@
 """Package surface: lazy Monte Carlo exports and a numpy-free CLI import."""
 from __future__ import annotations
 
+import importlib
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -37,9 +39,19 @@ def test_monte_carlo_names_resolve_to_the_module():
 
 
 def test_star_import_binds_all_names():
-    namespace: dict[str, object] = {}
-    exec("from hdqkd import *", namespace)
-    assert [name for name in hdqkd.__all__ if name not in namespace] == []
+    # The package and every module with an __all__: a stale entry fails.
+    # Importing __main__ would run the CLI.
+    names = ["hdqkd"] + [
+        f"hdqkd.{m.name}"
+        for m in pkgutil.iter_modules(hdqkd.__path__)
+        if m.name != "__main__"
+    ]
+    for module in map(importlib.import_module, names):
+        if not hasattr(module, "__all__"):
+            continue
+        namespace: dict[str, object] = {}
+        exec(f"from {module.__name__} import *", namespace)
+        assert [n for n in module.__all__ if n not in namespace] == [], module
 
 
 def test_unknown_attribute_raises():

@@ -175,6 +175,12 @@ class TestMaxDistance:
         assert 44.5 <= result <= 45.0
         assert any("not monotone" in record.message for record in caplog.records)
 
+    @pytest.mark.parametrize("tol_km", [0.0, -1.0, math.nan])
+    def test_bad_tolerance_rejected(self, fig2b, tol_km):
+        # NaN would end the bisection at once, at the coarse bracket's midpoint.
+        with pytest.raises(DomainError, match="tol_km"):
+            max_distance(fig2b, tol_km=tol_km)
+
     def test_dead_at_zero(self):
         # A tiny session drowns in the smoothing penalty already at L=0.
         scenario = parse_config("", preset="fig2a").with_overrides(n_pulses=1e4)
