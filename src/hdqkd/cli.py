@@ -13,6 +13,7 @@ import sys
 
 from . import sweep
 from .errors import ConfigError, DomainError, HdqkdError
+from .fluctuation import METHODS
 from .scenario import PRESETS, Scenario, parse_config, preset_names
 
 EXIT_OK = 0
@@ -35,8 +36,8 @@ def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--method",
-        choices=("hoeffding", "chernoff", "exact"),
-        help="override the fluctuation method",
+        choices=METHODS,
+        help="override the fluctuation method (n_pulses = inf gives the exact row)",
     )
     parser.add_argument(
         "--n-pulses",
@@ -66,12 +67,8 @@ def _load_scenario(args: argparse.Namespace) -> Scenario:
         except OSError as exc:
             raise ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
     scenario = parse_config(text, preset=args.preset)
-    method = getattr(args, "method", None)
-    pulses = getattr(args, "n_pulses", None)
-    return scenario.with_overrides(
-        method=method,
-        n_pulses=_parse_pulses(pulses) if pulses is not None else None,
-    )
+    pulses = None if args.n_pulses is None else _parse_pulses(args.n_pulses)
+    return scenario.with_overrides(method=args.method, n_pulses=pulses)
 
 
 def _write_output(out_path: str | None, render) -> None:
@@ -120,11 +117,10 @@ def _cmd_coverage(args: argparse.Namespace) -> int:
 
     scenario = _load_scenario(args)
     config = scenario.sim_config(args.length, args.seed)
-    method = args.method or scenario.method
     fraction = montecarlo.coverage_experiment(
-        config, scenario.budget.eps_pe, method, args.trials
+        config, scenario.budget.eps_pe, scenario.method, args.trials
     )
-    print(f"coverage {fraction:.4f} ({args.trials} trials, method {method})")
+    print(f"coverage {fraction:.4f} ({args.trials} trials, method {scenario.method})")
     return EXIT_OK
 
 

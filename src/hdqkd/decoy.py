@@ -17,6 +17,7 @@ nothing useful can be certified once the estimate diverges.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Mapping
@@ -65,6 +66,8 @@ class IntensityConfig:
     satisfy ``mu > v1 > 0``.  Both modes must also keep the estimators'
     denominator ``mu*v1 - mu*v2 - v1^2 + v2^2`` (``v2 = 0`` with one
     decoy) positive in floating point, which rejects infinite intensities.
+    A non-zero intensity must be a normal float: a subnormal one makes
+    ``lam * p`` underflow to 0 in the excess-noise bound.
     """
 
     mode: str
@@ -77,6 +80,12 @@ class IntensityConfig:
     def __post_init__(self) -> None:
         if self.mode not in (TWO_DECOY, SINGLE_DECOY):
             raise DomainError(f"unknown decoy mode {self.mode!r}")
+        for name in ("mu", "v1", "v2"):
+            value = getattr(self, name)
+            if value and abs(value) < sys.float_info.min:
+                raise DomainError(
+                    f"{name} must be 0 or >= {sys.float_info.min}, got {value!r}"
+                )
         if self.mu <= 0.0:
             raise DomainError(f"mu must be > 0, got {self.mu}")
         if not 0.0 < self.p_mu < 1.0 or not 0.0 < self.p_v1 < 1.0:

@@ -4,8 +4,11 @@ Two concentration methods turn a measured postselection probability into
 a confidence interval: a distribution-free (Hoeffding-type) bound with a
 symmetric width, and a multiplicative (Chernoff-type) bound whose widths
 scale with the measured probability and which therefore wins when that
-probability is small.  The total failure budget of the protocol is the
-plain sum of its per-procedure components.
+probability is small.  These are the two ``METHODS``; at infinitely
+many pulses both give the degenerate interval labelled ``exact``.  Each
+intensity's interval spends the whole ``eps_pe``, so parameter estimation
+can fail with probability up to ``|roles| * eps_pe`` and
+:attr:`EpsilonBudget.total` undercounts the protocol's failure budget.
 """
 from __future__ import annotations
 
@@ -30,7 +33,7 @@ __all__ = [
     "interval",
 ]
 
-METHODS = ("hoeffding", "chernoff", "exact")
+METHODS = ("hoeffding", "chernoff")
 
 # First applicability condition: (2/eps_c)^(1/alpha_l) <= e^((3/(4*sqrt(2)))^2).
 _FIRST_CONDITION_EXPONENT = (3.0 / (4.0 * math.sqrt(2.0))) ** 2  # 9/32
@@ -40,11 +43,16 @@ _SECOND_CONDITION_EXPONENT = 1.0 / 3.0
 
 @dataclass(frozen=True)
 class EpsilonBudget:
-    """Additive failure-probability budget of the whole protocol.
+    """Additive failure-probability budget of the protocol.
 
     ``eps_pe`` covers parameter estimation, ``eps_ec`` error correction,
     ``eps_bar`` the smoothing of the min-entropy and ``eps_pa`` privacy
     amplification.  Each component must lie in (0, 1) and the sum below 1.
+    ``total`` counts ``eps_pe`` once, yet every intensity's interval
+    spends all of it: by the union bound the protocol can fail with
+    probability up to ``total + (|roles| - 1) * eps_pe``, which is 6e-10
+    against the stated 4e-10 on two-decoy presets (ROADMAP item 11, a
+    failure budget that adds up).
     """
 
     eps_pe: float = 1e-10
@@ -71,8 +79,10 @@ class EpsilonBudget:
 class FluctuationInterval:
     """Confidence interval around a measured postselection probability.
 
-    ``applicability`` is the multiplicative bound's precondition check
-    for a finite-sample ``chernoff`` interval, and ``None`` otherwise.
+    ``method`` is one of ``METHODS``, or ``exact`` for the degenerate
+    interval of the infinite-pulse limit.  ``applicability`` is the
+    multiplicative bound's precondition check for a finite-sample
+    ``chernoff`` interval, and ``None`` otherwise.
     """
 
     p_center: float
@@ -83,15 +93,14 @@ class FluctuationInterval:
     applicability: ChernoffApplicability | None = None
 
     def __post_init__(self) -> None:
-        if self.method not in METHODS:
+        if self.method not in METHODS and self.method != "exact":
             raise DomainError(f"unknown method {self.method!r}")
         if not 0.0 <= self.p_minus <= self.p_center <= self.p_plus <= 1.0:
             raise DomainError(
                 "interval must satisfy 0 <= p_minus <= p_center <= p_plus <= 1, "
                 f"got [{self.p_minus}, {self.p_center}, {self.p_plus}]"
             )
-        degenerate = self.p_minus == self.p_center == self.p_plus
-        if self.method == "exact" and not degenerate:
+        if self.method == "exact" and self.p_minus != self.p_plus:
             raise DomainError("exact intervals must be degenerate")
 
 
@@ -247,21 +256,22 @@ def interval(
 ) -> FluctuationInterval:
     """Build the fluctuation interval for one intensity.
 
-    Dispatches to the chosen concentration method with the estimation
-    frame count derived from the selection and basis probabilities.  The
-    infinite-pulse sentinel always yields the exact (degenerate)
-    interval.  When the multiplicative bound's preconditions fail, a
+    Dispatches to the chosen method (one of ``METHODS``) with the
+    estimation frame count derived from the selection and basis
+    probabilities.  The infinite-pulse sentinel yields the degenerate
+    interval labelled ``exact`` whatever the method.  When the
+    multiplicative bound's preconditions fail, a
     :class:`ChernoffInapplicableError` carrying the diagnostics is raised
     unless ``enforce_applicability`` is false, in which case the stated
     widths are used anyway and the failed check rides on the interval's
     ``applicability`` (callers are expected to flag this).
     """
     if method not in METHODS:
-        raise DomainError(f"unknown method {method!r}")
+        raise DomainError(f"unknown method {method!r}, expected one of {METHODS}")
     if not 0.0 <= p_center <= 1.0:
         raise DomainError(f"p_center must lie in [0, 1], got {p_center}")
     n_frames = frames_for_estimation(p_lambda, p_t, n_pulses)
-    if method == "exact" or math.isinf(n_frames):
+    if math.isinf(n_frames):
         return FluctuationInterval(
             p_center=p_center,
             p_minus=p_center,

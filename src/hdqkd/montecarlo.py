@@ -255,15 +255,14 @@ def coverage_experiment(
     chosen method around each empirical postselection probability, and
     returns the fraction of sessions in which every intensity's interval
     contains the analytic value.  A session without DD frames for some
-    intensity raises :class:`EstimationImpossibleError`.  The exact
-    method models the infinite-sample limit, where the measured value is
-    the analytic one, so its interval always covers.
+    intensity raises :class:`EstimationImpossibleError`.  ``method`` must
+    be one of :data:`fluctuation.METHODS`.
     """
     if not (100 <= trials < math.inf) or trials != int(trials):
         raise DomainError(f"need a whole number of at least 100 trials, got {trials}")
     trials = int(trials)
-    if method == "exact":
-        return 1.0
+    if method not in fluctuation.METHODS:
+        raise DomainError(f"unknown method {method!r}")
     roles = config.intensities.roles()
     p_true = [config.analytic_postselection(role) for role, _lam, _p in roles]
 

@@ -82,7 +82,10 @@ class Scenario:
 
     def __post_init__(self) -> None:
         if self.method not in METHODS:
-            raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
+            raise ConfigError(
+                f"[protocol] method must be one of {METHODS}, got {self.method!r} "
+                "(n_pulses = inf gives the exact row with any method)"
+            )
         if not 0.0 < self.p_t < 1.0:
             raise ConfigError(f"p_t must lie in (0, 1), got {self.p_t}")
         if not 0.0 < self.beta <= 1.0:
@@ -330,11 +333,6 @@ def build_scenario(
     except DomainError as exc:
         raise ConfigError(f"[protocol] invalid intensities: {exc}") from exc
 
-    method = proto["method"]
-    if method not in METHODS:
-        raise ConfigError(
-            f"[protocol] method: expected one of {METHODS}, got {method!r}"
-        )
     n_raw = proto["n_pulses"].lower()
     n_pulses = math.inf if n_raw in ("inf", "infinity") else _to_float(
         "protocol", "n_pulses", n_raw
@@ -386,7 +384,7 @@ def build_scenario(
         intensities=intensities,
         p_t=_to_float("protocol", "p_t", proto["p_t"]),
         budget=budget,
-        method=method,
+        method=proto["method"],
         n_pulses=n_pulses,
         beta=_to_float("protocol", "beta", proto["beta"]),
         delta_phi=_to_float("protocol", "delta_phi", proto["delta_phi"]),

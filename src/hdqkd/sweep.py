@@ -69,12 +69,6 @@ class ResultRow:
     positive: bool
 
 
-def _effective_method(scenario: Scenario) -> str:
-    if math.isinf(scenario.n_pulses):
-        return "exact"
-    return scenario.method
-
-
 def run_point(
     scenario: Scenario,
     length_km: float,
@@ -90,7 +84,6 @@ def run_point(
     phys = scenario.phys
     frame = scenario.frame
     channel = ChannelPoint.from_length(phys.alpha, length_km)
-    method = _effective_method(scenario)
     stats, failed = attach_fluctuation(
         expected_stats(
             scenario.intensities, phys, frame, channel, frame.zeta, scenario.delta_phi
@@ -99,9 +92,10 @@ def run_point(
         scenario.p_t,
         scenario.n_pulses,
         scenario.budget.eps_pe,
-        method,
+        scenario.method,
         enforce_applicability=False,
     )
+    method = "exact" if math.isinf(scenario.n_pulses) else scenario.method
     if failed:
         if strict_chernoff:
             role, check = next(iter(failed.items()))
@@ -246,16 +240,6 @@ def max_distance(scenario: Scenario, *, tol_km: float = 0.1) -> float:
     return 0.5 * (lo + hi)
 
 
-def _fmt(value: float) -> str:
-    if math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    return format(value, ".12e")
-
-
-def _fmt_pulses(value: float) -> str:
-    return "inf" if math.isinf(value) else format(value, ".12g")
-
-
 def format_rows(rows: Iterable[ResultRow]) -> str:
     """Render rows as the canonical CSV document (deterministic bytes)."""
     rows = list(rows)
@@ -273,16 +257,16 @@ def format_rows(rows: Iterable[ResultRow]) -> str:
             ",".join(
                 [
                     format(row.length_km, ".12g"),
-                    _fmt_pulses(row.n_pulses),
+                    format(row.n_pulses, ".12g"),
                     row.method,
-                    _fmt(row.delta_i),
-                    _fmt(row.r_hd),
-                    _fmt(row.kmu_lb),
-                    _fmt(row.zeta_t_ub),
-                    _fmt(row.zeta_w_ub),
-                    _fmt(row.ec_term),
-                    _fmt(row.pa_term),
-                    _fmt(row.smooth_term),
+                    format(row.delta_i, ".12e"),
+                    format(row.r_hd, ".12e"),
+                    format(row.kmu_lb, ".12e"),
+                    format(row.zeta_t_ub, ".12e"),
+                    format(row.zeta_w_ub, ".12e"),
+                    format(row.ec_term, ".12e"),
+                    format(row.pa_term, ".12e"),
+                    format(row.smooth_term, ".12e"),
                     "true" if row.positive else "false",
                 ]
             )
@@ -302,5 +286,5 @@ def emit_plotdata(rows: Iterable[ResultRow], destination: IO[str]) -> None:
         raise DomainError("no rows to emit")
     lines = ["# length_km delta_i_bpc"]
     for row in rows:
-        lines.append(f"{row.length_km:.12g} {_fmt(row.delta_i)}")
+        lines.append(f"{row.length_km:.12g} {row.delta_i:.12e}")
     destination.write("\n".join(lines) + "\n")

@@ -116,6 +116,32 @@ class TestExitCodes:
         assert key in result.stderr
         assert result.stdout == ""
 
+    def test_subnormal_decoy_intensity(self, tmp_path):
+        config = tmp_path / "scenario.cfg"
+        config.write_text("[protocol]\nv2 = 5e-324\n")
+        result = run_cli(
+            "point", "--preset", "fig2b", "--config", str(config), "--length", "10"
+        )
+        assert result.returncode == 1
+        assert "v2" in result.stderr
+
+    @pytest.mark.parametrize(
+        "command, extra",
+        [
+            ("point", ("--length", "50")),
+            ("maxdist", ()),
+            ("coverage", ()),
+        ],
+    )
+    def test_exact_method_rejected(self, command, extra):
+        result = run_cli(
+            command, "--preset", "fig2b", "--method", "exact", "--n-pulses", "1e7", *extra
+        )
+        assert result.returncode == 1
+        assert "config error" in result.stderr
+        assert "--method" in result.stderr and "'exact'" in result.stderr
+        assert result.stdout == ""
+
     def test_io_error(self):
         result = run_cli(
             "point",

@@ -104,7 +104,8 @@ class TestIntensityConfig:
     @settings(max_examples=200, derandomize=True)
     @given(
         two=st.booleans(),
-        v2=st.floats(0.0, 1.0),
+        # Subnormal intensities are rejected (test_scenario.py).
+        v2=st.floats(0.0, 1.0, allow_subnormal=False),
         gap1=st.floats(1e-6, 1.0),
         gap2=st.floats(1e-6, 1.0),
     )

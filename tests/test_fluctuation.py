@@ -14,6 +14,7 @@ from hdqkd.errors import (
     EstimationImpossibleError,
 )
 from hdqkd.fluctuation import (
+    METHODS,
     EpsilonBudget,
     FluctuationInterval,
     chernoff_applicable,
@@ -137,15 +138,17 @@ class TestChernoffApplicability:
 
 
 class TestInterval:
-    def test_exact_method(self):
-        iv = interval(0.3, 0.5, 0.5, 1e9, 1e-10, "exact")
-        assert iv.p_minus == iv.p_center == iv.p_plus == 0.3
-        assert iv.method == "exact"
+    def test_exact_is_not_a_method(self):
+        # A zero-width interval at finite N certifies nothing.
+        for n_pulses in (1e9, math.inf):
+            with pytest.raises(DomainError, match="exact"):
+                interval(0.3, 0.5, 0.5, n_pulses, 1e-10, "exact")
 
     def test_infinite_pulses_forces_exact(self):
-        iv = interval(0.3, 0.5, 0.5, math.inf, 1e-10, "hoeffding")
-        assert iv.method == "exact"
-        assert iv.p_minus == iv.p_plus == 0.3
+        for method in METHODS:
+            iv = interval(0.3, 0.5, 0.5, math.inf, 1e-10, method)
+            assert iv.method == "exact"
+            assert iv.p_minus == iv.p_plus == 0.3
 
     def test_clamping(self):
         iv = interval(1e-9, 0.1, 0.5, 1e6, 1e-10, "hoeffding")

@@ -206,9 +206,11 @@ class TestEmpiricalStats:
 
 
 class TestCoverage:
-    def test_exact_method_always_covers(self):
+    def test_exact_method_rejected(self):
+        # A degenerate interval at finite N would claim coverage it lacks.
         config = make_config(n_pulses=1000)
-        assert coverage_experiment(config, 0.01, "exact", 100) == 1.0
+        with pytest.raises(DomainError, match="exact"):
+            coverage_experiment(config, 0.01, "exact", 100)
 
     def test_too_few_trials_rejected(self):
         with pytest.raises(DomainError):

@@ -1,8 +1,10 @@
 """Package surface: lazy Monte Carlo exports and a numpy-free CLI import."""
 from __future__ import annotations
 
+import argparse
 import importlib
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,8 +13,11 @@ import pytest
 
 import hdqkd
 import hdqkd.montecarlo
+from hdqkd.cli import build_parser
+from hdqkd.fluctuation import METHODS
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+README = SRC.parent / "README.md"
 
 
 def test_cli_import_loads_no_numpy():
@@ -57,3 +62,24 @@ def test_star_import_binds_all_names():
 def test_unknown_attribute_raises():
     with pytest.raises(AttributeError, match="no_such_name"):
         hdqkd.no_such_name  # noqa: B018 - the lookup is the test
+
+
+def test_method_lists_match_fluctuation_methods():
+    # The README's two lists and every --method option read METHODS.
+    text = README.read_text(encoding="utf-8")
+    options = re.findall(r"--method \{([^}]*)\}", text)
+    comments = re.findall(r"^method = \w+ +# (.+)$", text, re.MULTILINE)
+    assert len(options) == len(comments) == 1
+    assert tuple(options[0].split(",")) == METHODS
+    assert tuple(comments[0].split(" | ")) == METHODS
+    subparsers = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    choices = {
+        name: action.choices
+        for name, sub in subparsers.choices.items()
+        for action in sub._actions
+        if action.dest == "method"
+    }
+    assert set(choices) == {"point", "sweep", "maxdist", "simulate", "coverage"}
+    assert all(tuple(c) == METHODS for c in choices.values())

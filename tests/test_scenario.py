@@ -115,6 +115,17 @@ class TestParsing:
         with pytest.raises(ConfigError, match="method"):
             parse_config("[protocol]\nmethod = bogus\n")
 
+    def test_exact_is_not_a_method(self):
+        # At N = inf every method already gives the exact row.
+        with pytest.raises(ConfigError, match="method.*'exact'"):
+            parse_config("[protocol]\nmethod = exact\nn_pulses = 1e9\n")
+
+    @pytest.mark.parametrize("value", ["5e-324", "1e-320"])
+    def test_subnormal_intensity_named(self, value):
+        # lam * p underflowed to 0 in the excess-noise bound.
+        with pytest.raises(ConfigError, match=f"v2 .*{value}"):
+            parse_config(f"[protocol]\nv2 = {value}\n", preset="fig2b")
+
     def test_epsilon_validation(self):
         with pytest.raises(ConfigError, match="epsilons"):
             parse_config("[epsilons]\neps_pe = 2.0\n")

@@ -8,7 +8,7 @@ import pytest
 
 from hdqkd import fluctuation, keyrate, sweep
 from hdqkd.errors import ChernoffInapplicableError, DomainError
-from hdqkd.scenario import parse_config
+from hdqkd.scenario import parse_config, preset_names
 from hdqkd.sweep import (
     CSV_HEADER,
     MAX_GRID_POINTS,
@@ -67,6 +67,30 @@ class TestRunPoint:
         assert row.kmu_lb <= 1.0
         assert row.zeta_t_ub >= fig2b.frame.zeta - 1e-12
         assert row.zeta_w_ub == row.zeta_t_ub
+
+
+class TestCapacityNeverFallsWithPulses:
+    """More pulses never cost key: every preset and security model, on a
+    deterministic grid of pulse counts and lengths."""
+
+    PULSES = (1e9, 1e10, 1e11, 1e12, 1e13, math.inf)
+
+    @pytest.mark.parametrize("model", ["table", "gaussian"])
+    def test_every_preset(self, model):
+        violations = []
+        for name in preset_names():
+            base = parse_config(f"[security_model]\nmodel = {model}\n", preset=name)
+            curves = [
+                sweep_distance(base.with_overrides(n_pulses=n), 0.0, 300.0, 25.0)
+                for n in self.PULSES
+            ]
+            for n, fewer, more in zip(self.PULSES[1:], curves, curves[1:]):
+                violations += [
+                    (name, n, a.length_km, a.delta_i, b.delta_i)
+                    for a, b in zip(fewer, more)
+                    if not b.delta_i >= a.delta_i
+                ]
+        assert violations == []
 
 
 class TestOneEvaluationPerPoint:
