@@ -24,7 +24,6 @@ from .errors import (
     DomainError,
     EstimationImpossibleError,
     HdqkdError,
-    NoKeyError,
     SecurityModelError,
 )
 from .fluctuation import EpsilonBudget, FluctuationInterval, interval
@@ -83,7 +82,6 @@ __all__ = [
     "IntensityConfig",
     "IntensityStats",
     "KeyRateResult",
-    "NoKeyError",
     "PRESETS",
     "PhysicalParams",
     "ResultRow",

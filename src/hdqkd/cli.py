@@ -35,11 +35,6 @@ def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
         "--preset", metavar="NAME", help="named preset (see the presets command)"
     )
     parser.add_argument(
-        "--method",
-        choices=METHODS,
-        help="override the fluctuation method (n_pulses = inf gives the exact row)",
-    )
-    parser.add_argument(
         "--n-pulses",
         metavar="N|inf",
         help="override the transmitted pulse count",
@@ -170,7 +165,8 @@ def build_parser() -> _Parser:
     simulate.add_argument("--length", type=float, default=0.0, metavar="KM")
     simulate.add_argument("--seed", type=int, default=1, metavar="U64")
     simulate.add_argument("--out", metavar="PATH")
-    simulate.set_defaults(handler=_cmd_simulate)
+    # The simulated tally does not depend on the fluctuation method.
+    simulate.set_defaults(handler=_cmd_simulate, method=None)
 
     coverage = sub.add_parser("coverage", help="empirical interval coverage")
     _add_scenario_args(coverage)
@@ -178,6 +174,13 @@ def build_parser() -> _Parser:
     coverage.add_argument("--seed", type=int, default=1, metavar="U64")
     coverage.add_argument("--trials", type=int, default=1000)
     coverage.set_defaults(handler=_cmd_coverage)
+
+    for cmd in (point, sweep_cmd, maxdist, coverage):
+        cmd.add_argument(
+            "--method",
+            choices=METHODS,
+            help="override the fluctuation method (n_pulses = inf gives the exact row)",
+        )
 
     presets = sub.add_parser("presets", help="list the available presets")
     presets.set_defaults(handler=_cmd_presets)

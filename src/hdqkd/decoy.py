@@ -11,8 +11,9 @@ pessimistic ends of the intervals, upper bounds from the optimistic
 ends, so every bound stays conservative as the intervals widen.
 
 Probability-like bounds clamp to [0, 1].  Excess-noise bounds clamp
-below at 0 and are reported as "no key" above a configurable cap, since
-nothing useful can be certified once the estimate diverges.
+below at 0 and are reported as "no key", both infinite, once either
+exceeds ``EXCESS_NOISE_CAP``, since nothing useful can be certified
+after the estimate diverges.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from itertools import combinations
 from typing import Mapping
 
 from . import fluctuation, physics
-from .errors import DomainError, NoKeyError
+from .errors import DomainError
 from .fluctuation import ChernoffApplicability
 from .physics import ChannelPoint, FrameParams, PhysicalParams
 
@@ -376,22 +377,20 @@ def excess_noise_upper(
     stats: MeasuredStats,
     intensities: IntensityConfig,
     kmu_lb: float,
-    *,
-    cap: float = EXCESS_NOISE_CAP,
 ) -> tuple[float, float]:
     """Upper-bound both excess-noise factors.
 
     Minimizes, per correlation basis, over every pair of the configured
     intensities (the pairwise route differences the stronger and the
     weaker one) and over every single-intensity route (vacuum excluded
-    from the latter), then subtracts the unit baseline.  A vanishing
-    single-pair fraction certifies nothing and signals "no key".
+    from the latter), then subtracts the unit baseline.  "No key" is
+    ``(inf, inf)``: a vanishing single-pair fraction or signal
+    postselection certifies nothing, and neither does a basis whose bound
+    exceeds ``EXCESS_NOISE_CAP``.
     """
-    if kmu_lb <= 0.0:
-        raise NoKeyError("single-pair fraction bound is 0; no key can be certified")
     p_mu_plus = stats["mu"].p_plus
-    if p_mu_plus <= 0.0:
-        raise NoKeyError("no signal postselection events; no key can be certified")
+    if kmu_lb <= 0.0 or p_mu_plus <= 0.0:
+        return math.inf, math.inf
     mu = intensities.mu
     # roles() is strictly descending in intensity, so lam1 > lam2 below.
     entries = [(lam, stats[role]) for role, lam, _p in intensities.roles()]
@@ -418,18 +417,15 @@ def excess_noise_upper(
         ]
         # A branch that evaluates to NaN (an inf - inf difference when the
         # multipliers overflow) certifies nothing; min() would not skip it.
-        value = max(
+        return max(
             0.0,
             min((c for c in candidates if not math.isnan(c)), default=math.inf) - 1.0,
         )
-        if value > cap:
-            raise NoKeyError(
-                f"excess-noise bound {value:.6g} exceeds the cap {cap:.6g}; "
-                "no key can be certified"
-            )
-        return value
 
-    return bound("t"), bound("w")
+    zeta_t, zeta_w = bound("t"), bound("w")
+    if max(zeta_t, zeta_w) > EXCESS_NOISE_CAP:
+        return math.inf, math.inf
+    return zeta_t, zeta_w
 
 
 def attach_fluctuation(
@@ -439,30 +435,20 @@ def attach_fluctuation(
     n_pulses: float,
     eps_pe: float,
     method: str,
-    *,
-    enforce_applicability: bool = True,
 ) -> tuple[dict[str, IntensityStats], dict[str, ChernoffApplicability]]:
     """Replace the interval ends of measured stats with method-derived ones.
 
     The centers and multipliers are preserved; only ``p_minus`` and
-    ``p_plus`` are recomputed for the chosen concentration method.
-    Returns the adjusted stats and, by role, every failed precondition
-    check of the multiplicative bound (empty unless
-    ``enforce_applicability`` is false).
+    ``p_plus`` are recomputed for the chosen concentration method, with
+    the stated widths even where the multiplicative bound's preconditions
+    fail.  Returns the adjusted stats and, by role, every failed
+    precondition check; the caller decides what a failure means.
     """
     adjusted: dict[str, IntensityStats] = {}
     failed: dict[str, ChernoffApplicability] = {}
     for role, _lam, p_sel in intensities.roles():
         s = stats[role]
-        iv = fluctuation.interval(
-            s.p_post,
-            p_sel,
-            p_t,
-            n_pulses,
-            eps_pe,
-            method,
-            enforce_applicability=enforce_applicability,
-        )
+        iv = fluctuation.interval(s.p_post, p_sel, p_t, n_pulses, eps_pe, method)
         if iv.applicability is not None and not iv.applicability.ok:
             failed[role] = iv.applicability
         adjusted[role] = IntensityStats(
@@ -479,17 +465,14 @@ def estimate_bounds(
     stats: MeasuredStats,
     intensities: IntensityConfig,
     p_d: float,
-    *,
-    cap: float = EXCESS_NOISE_CAP,
 ) -> DecoyBounds:
     """Run the full estimation chain for one channel point.
 
     Composes the vacuum-yield, single-pair-yield, single-pair-fraction
     and excess-noise bounds.  Only the single-pair yield depends on the
     decoy mode: with one decoy it is implied by the fraction bound.  "No key"
-    conditions are folded into the result (zero fraction bound or
-    infinite noise bounds) rather than raised, so sweep drivers can emit
-    an explicit no-key row.
+    shows in the result as a zero fraction bound or infinite noise
+    bounds, so sweep drivers can emit an explicit no-key row.
     """
     g0 = vacuum_yield_bounds(stats, intensities, p_d)
     kmu_lb = single_pair_fraction_lower(stats, intensities, g0)
@@ -499,10 +482,7 @@ def estimate_bounds(
         # Implied by the fraction bound: K = mu e^{-mu} gamma_1 / P_mu.
         mu = intensities.mu
         gamma1_lb = _clamp01(kmu_lb * stats["mu"].p_plus * math.exp(mu) / mu)
-    try:
-        zeta_t_ub, zeta_w_ub = excess_noise_upper(stats, intensities, kmu_lb, cap=cap)
-    except NoKeyError:
-        zeta_t_ub = zeta_w_ub = math.inf
+    zeta_t_ub, zeta_w_ub = excess_noise_upper(stats, intensities, kmu_lb)
     return DecoyBounds(
         gamma0_lb=g0.lower,
         gamma0_ub=g0.upper,

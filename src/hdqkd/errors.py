@@ -25,17 +25,11 @@ class EstimationImpossibleError(ComputationError):
     """No frames are available for parameter estimation."""
 
 
-class NoKeyError(ComputationError):
-    """The bounds admit no secret key (vanishing single-pair fraction or
-    unbounded excess noise); the caller must abort key extraction."""
-
-
 class ChernoffInapplicableError(ComputationError):
     """The multiplicative concentration bound's preconditions fail.
 
-    Carries the diagnostics of the applicability check so the caller can
-    decide whether to fall back to the distribution-free bound or to
-    proceed with the stated widths and flag the result.
+    Raised by the coverage experiment, which cannot score an interval
+    whose preconditions fail; carries the failed check as ``diagnostics``.
     """
 
     def __init__(self, message: str, diagnostics=None):

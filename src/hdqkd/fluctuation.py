@@ -15,11 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import (
-    ChernoffInapplicableError,
-    DomainError,
-    EstimationImpossibleError,
-)
+from .errors import DomainError, EstimationImpossibleError
 
 __all__ = [
     "EpsilonBudget",
@@ -117,9 +113,6 @@ class ChernoffApplicability:
     margin_first: float
     margin_second: float
     reason: str | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def frames_for_estimation(p_lambda: float, p_t: float, n_pulses: float) -> float:
@@ -251,20 +244,16 @@ def interval(
     n_pulses: float,
     eps_pe: float,
     method: str,
-    *,
-    enforce_applicability: bool = True,
 ) -> FluctuationInterval:
     """Build the fluctuation interval for one intensity.
 
     Dispatches to the chosen method (one of ``METHODS``) with the
     estimation frame count derived from the selection and basis
     probabilities.  The infinite-pulse sentinel yields the degenerate
-    interval labelled ``exact`` whatever the method.  When the
-    multiplicative bound's preconditions fail, a
-    :class:`ChernoffInapplicableError` carrying the diagnostics is raised
-    unless ``enforce_applicability`` is false, in which case the stated
-    widths are used anyway and the failed check rides on the interval's
-    ``applicability`` (callers are expected to flag this).
+    interval labelled ``exact`` whatever the method.  A ``chernoff``
+    interval always carries the multiplicative bound's precondition
+    check on ``applicability`` and keeps the stated widths when the check
+    fails; each caller decides what a failed check means.
     """
     if method not in METHODS:
         raise DomainError(f"unknown method {method!r}, expected one of {METHODS}")
@@ -290,12 +279,6 @@ def interval(
         delta_plus = delta_minus = delta
     else:
         check = chernoff_applicable(p_center * n_frames, n_frames, eps_pe)
-        if not check.ok and enforce_applicability:
-            raise ChernoffInapplicableError(
-                f"multiplicative bound inapplicable: {check.reason} "
-                f"(alpha_l={check.alpha_l:.6g})",
-                diagnostics=check,
-            )
         delta_plus, delta_minus = chernoff_deltas(p_center, n_frames, eps_pe)
     return FluctuationInterval(
         p_center=p_center,

@@ -40,7 +40,12 @@ import numpy as np
 
 from . import fluctuation, physics
 from .decoy import IntensityConfig, IntensityStats, expected_stats
-from .errors import ConfigError, DomainError, EstimationImpossibleError
+from .errors import (
+    ChernoffInapplicableError,
+    ConfigError,
+    DomainError,
+    EstimationImpossibleError,
+)
 from .physics import ChannelPoint, FrameParams, PhysicalParams
 
 __all__ = [
@@ -256,7 +261,9 @@ def coverage_experiment(
     returns the fraction of sessions in which every intensity's interval
     contains the analytic value.  A session without DD frames for some
     intensity raises :class:`EstimationImpossibleError`.  ``method`` must
-    be one of :data:`fluctuation.METHODS`.
+    be one of :data:`fluctuation.METHODS`.  An interval whose
+    multiplicative-bound preconditions fail makes the run meaningless, so
+    it raises :class:`ChernoffInapplicableError` carrying the check.
     """
     if not (100 <= trials < math.inf) or trials != int(trials):
         raise DomainError(f"need a whole number of at least 100 trials, got {trials}")
@@ -271,6 +278,13 @@ def coverage_experiment(
         iv = fluctuation.interval(
             p_hat, p_sel, config.p_t, config.n_pulses, eps_pe, method
         )
+        check = iv.applicability
+        if check is not None and not check.ok:
+            raise ChernoffInapplicableError(
+                f"multiplicative bound inapplicable for intensity "
+                f"{roles[k][0]!r}: {check.reason} (alpha_l={check.alpha_l:.6g})",
+                diagnostics=check,
+            )
         return iv.p_minus <= p_true[k] <= iv.p_plus
 
     covered = 0

@@ -11,7 +11,7 @@ one after another in the calling process.
 When the multiplicative bound's preconditions fail for an intensity,
 the sweep proceeds with the stated widths and annotates the row's
 method column (e.g. ``chernoff(unchecked:v2)``) instead of silently
-switching methods; a strict mode raises instead.
+switching methods.  Only the coverage experiment refuses such a check.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import IO, Iterable
 
 from .decoy import attach_fluctuation, estimate_bounds, expected_stats
-from .errors import ChernoffInapplicableError, DomainError
+from .errors import DomainError
 from .keyrate import finite_key_terms, secure_key_capacity
 from .physics import ChannelPoint
 from .scenario import Scenario
@@ -69,17 +69,14 @@ class ResultRow:
     positive: bool
 
 
-def run_point(
-    scenario: Scenario,
-    length_km: float,
-    *,
-    strict_chernoff: bool = False,
-) -> ResultRow:
+def run_point(scenario: Scenario, length_km: float) -> ResultRow:
     """Evaluate the secure-key capacity at one channel length.
 
     "No key" conditions (vanishing single-pair fraction bound, or an
     excess-noise bound beyond the cap) yield a row with ``positive``
-    false and capacities of ``-inf`` rather than an exception.
+    false and capacities of ``-inf`` rather than an exception.  Failed
+    precondition checks of the multiplicative bound label the method
+    column ``chernoff(unchecked:<roles>)``.
     """
     phys = scenario.phys
     frame = scenario.frame
@@ -93,17 +90,9 @@ def run_point(
         scenario.n_pulses,
         scenario.budget.eps_pe,
         scenario.method,
-        enforce_applicability=False,
     )
     method = "exact" if math.isinf(scenario.n_pulses) else scenario.method
     if failed:
-        if strict_chernoff:
-            role, check = next(iter(failed.items()))
-            raise ChernoffInapplicableError(
-                f"multiplicative bound inapplicable for intensity "
-                f"{role!r} at {length_km} km: {check.reason}",
-                diagnostics=check,
-            )
         method = f"{method}(unchecked:{';'.join(failed)})"
     bounds = estimate_bounds(stats, scenario.intensities, frame.p_d)
 

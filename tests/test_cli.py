@@ -239,6 +239,13 @@ class TestSimulateCommand:
         assert result.stdout == ""
         assert "integer n_pulses" in result.stderr
 
+    def test_method_not_offered(self):
+        # A simulated tally does not depend on the fluctuation method.
+        result = run_cli("simulate", "--preset", "fig2b", "--method", "hoeffding")
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert "--method" in result.stderr
+
 
 class TestCoverageCommand:
     def test_reports_fraction(self):

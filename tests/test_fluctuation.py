@@ -8,11 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hdqkd.errors import (
-    ChernoffInapplicableError,
-    DomainError,
-    EstimationImpossibleError,
-)
+from hdqkd.errors import DomainError, EstimationImpossibleError
 from hdqkd.fluctuation import (
     METHODS,
     EpsilonBudget,
@@ -171,18 +167,17 @@ class TestInterval:
         narrow = interval(0.3, 0.5, 0.5, 1e10, 1e-6, "hoeffding")
         assert wide.p_plus - wide.p_minus > narrow.p_plus - narrow.p_minus
 
-    def test_inapplicable_chernoff_raises_with_diagnostics(self):
-        with pytest.raises(ChernoffInapplicableError) as err:
-            interval(1e-6, 0.1, 0.5, 1e6, 1e-10, "chernoff")
-        assert err.value.diagnostics is not None
-        assert not err.value.diagnostics.ok
-
     def test_inapplicable_chernoff_can_proceed(self):
-        iv = interval(
-            1e-6, 0.1, 0.5, 1e6, 1e-10, "chernoff", enforce_applicability=False
-        )
+        # A failed precondition check is reported on the interval, which
+        # keeps the stated widths.
+        iv = interval(1e-6, 0.1, 0.5, 1e6, 1e-10, "chernoff")
+        n_frames = frames_for_estimation(0.1, 0.5, 1e6)
+        delta_plus, delta_minus = chernoff_deltas(1e-6, n_frames, 1e-10)
         assert iv.method == "chernoff"
-        assert iv.p_plus > 1e-6
+        assert iv.p_plus == 1e-6 + delta_plus
+        assert iv.p_minus == max(0.0, 1e-6 - delta_minus)
+        assert iv.applicability == chernoff_applicable(1e-6 * n_frames, n_frames, 1e-10)
+        assert not iv.applicability.ok
 
     def test_no_frames(self):
         with pytest.raises(EstimationImpossibleError):
@@ -255,6 +250,7 @@ class TestSoundnessAtOperatingPoints:
         self, p_center, p_lambda, n_pulses, method, sides
     ):
         iv = interval(p_center, p_lambda, 0.5, n_pulses, EPS_PE, method)
+        assert method == "hoeffding" or iv.applicability.ok
         lower, upper = _relative_entropy_interval(
             p_center, iv.n_frames, mp.mpf(str(EPS_PE)) / sides
         )

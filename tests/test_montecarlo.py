@@ -10,7 +10,12 @@ import pytest
 from conftest import true_quantities
 from hdqkd import montecarlo
 from hdqkd.decoy import IntensityConfig, attach_fluctuation, estimate_bounds
-from hdqkd.errors import ConfigError, DomainError, EstimationImpossibleError
+from hdqkd.errors import (
+    ChernoffInapplicableError,
+    ConfigError,
+    DomainError,
+    EstimationImpossibleError,
+)
 from hdqkd.montecarlo import (
     _CHUNK,
     PAIRINGS,
@@ -211,6 +216,16 @@ class TestCoverage:
         config = make_config(n_pulses=1000)
         with pytest.raises(DomainError, match="exact"):
             coverage_experiment(config, 0.01, "exact", 100)
+
+    def test_inapplicable_chernoff_raises_with_diagnostics(self):
+        # Coverage is the one caller that refuses an interval whose
+        # multiplicative-bound preconditions fail: 2000 pulses are far
+        # too few for them.
+        config = parse_config("", preset="fig3b").sim_config(0.0, seed=4, n_pulses=2000)
+        with pytest.raises(ChernoffInapplicableError) as err:
+            coverage_experiment(config, 1e-10, "chernoff", 100)
+        assert err.value.diagnostics is not None
+        assert not err.value.diagnostics.ok
 
     def test_too_few_trials_rejected(self):
         with pytest.raises(DomainError):

@@ -81,5 +81,5 @@ def test_method_lists_match_fluctuation_methods():
         for action in sub._actions
         if action.dest == "method"
     }
-    assert set(choices) == {"point", "sweep", "maxdist", "simulate", "coverage"}
+    assert set(choices) == {"point", "sweep", "maxdist", "coverage"}
     assert all(tuple(c) == METHODS for c in choices.values())
