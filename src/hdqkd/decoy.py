@@ -52,6 +52,9 @@ SINGLE_DECOY = "single-decoy"
 #: Excess-noise bounds above this value are reported as "no key".
 EXCESS_NOISE_CAP = 1e3
 
+#: Largest intensity whose e^lam is a finite float.
+_MAX_INTENSITY = math.log(sys.float_info.max)
+
 
 def _clamp01(x: float) -> float:
     return min(1.0, max(0.0, x))
@@ -68,10 +71,12 @@ class IntensityConfig:
     denominator ``mu*v1 - mu*v2 - v1^2 + v2^2`` (``v2 = 0`` with one
     decoy) positive in floating point, which rejects infinite intensities.
     A non-zero intensity must be a normal float: a subnormal one makes
-    ``lam * p`` underflow to 0 in the excess-noise bound.
+    ``lam * p`` underflow to 0 in the excess-noise bound.  ``mu`` must
+    keep ``e^mu`` finite, i.e. stay below ln(max float) = 709.78.
+
+    ``mode`` is derived: ``v2 is None`` means single-decoy.
     """
 
-    mode: str
     mu: float
     v1: float
     v2: float | None
@@ -79,8 +84,6 @@ class IntensityConfig:
     p_v1: float
 
     def __post_init__(self) -> None:
-        if self.mode not in (TWO_DECOY, SINGLE_DECOY):
-            raise DomainError(f"unknown decoy mode {self.mode!r}")
         for name in ("mu", "v1", "v2"):
             value = getattr(self, name)
             if value and abs(value) < sys.float_info.min:
@@ -91,9 +94,7 @@ class IntensityConfig:
             raise DomainError(f"mu must be > 0, got {self.mu}")
         if not 0.0 < self.p_mu < 1.0 or not 0.0 < self.p_v1 < 1.0:
             raise DomainError("selection probabilities must lie in (0, 1)")
-        if self.mode == TWO_DECOY:
-            if self.v2 is None:
-                raise DomainError("two-decoy mode requires v2 (0 allowed)")
+        if self.v2 is not None:
             if not self.v1 > self.v2 >= 0.0:
                 raise DomainError(
                     f"decoy intensities must satisfy v1 > v2 >= 0, "
@@ -110,8 +111,6 @@ class IntensityConfig:
                     f"for v2, got p_mu={self.p_mu}, p_v1={self.p_v1}"
                 )
         else:
-            if self.v2 is not None:
-                raise DomainError("single-decoy mode must not define v2")
             if not self.mu > self.v1 > 0.0:
                 raise DomainError(
                     f"single-decoy intensities must satisfy mu > v > 0, "
@@ -130,30 +129,38 @@ class IntensityConfig:
                 "intensities must be finite with mu*v1 - mu*v2 - v1^2 + v2^2 > 0, "
                 f"got {den} (mu={self.mu}, v1={self.v1}, v2={self.v2})"
             )
+        # mu is the largest intensity; the bounds evaluate e^mu.
+        if self.mu > _MAX_INTENSITY:
+            raise DomainError(
+                f"mu must be <= ln(max float) = {_MAX_INTENSITY:.6g}, got {self.mu!r}"
+            )
 
     @classmethod
     def two_decoy(
         cls, mu: float, v1: float, v2: float, p_mu: float, p_v1: float
     ) -> "IntensityConfig":
-        return cls(mode=TWO_DECOY, mu=mu, v1=v1, v2=v2, p_mu=p_mu, p_v1=p_v1)
+        return cls(mu=mu, v1=v1, v2=v2, p_mu=p_mu, p_v1=p_v1)
 
     @classmethod
     def single_decoy(
         cls, mu: float, v: float, p_mu: float, p_v: float
     ) -> "IntensityConfig":
-        return cls(mode=SINGLE_DECOY, mu=mu, v1=v, v2=None, p_mu=p_mu, p_v1=p_v)
+        return cls(mu=mu, v1=v, v2=None, p_mu=p_mu, p_v1=p_v)
+
+    @property
+    def mode(self) -> str:
+        return SINGLE_DECOY if self.v2 is None else TWO_DECOY
 
     @property
     def p_v2(self) -> float:
-        if self.mode == SINGLE_DECOY:
+        if self.v2 is None:
             return 0.0
         return 1.0 - self.p_mu - self.p_v1
 
     def roles(self) -> list[tuple[str, float, float]]:
         """(role, intensity, selection probability) triples, signal first
         and strictly descending in intensity."""
-        if self.mode == TWO_DECOY:
-            assert self.v2 is not None
+        if self.v2 is not None:
             return [
                 ("mu", self.mu, self.p_mu),
                 ("v1", self.v1, self.p_v1),

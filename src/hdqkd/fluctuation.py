@@ -178,6 +178,11 @@ def chernoff_deltas(
     if math.isinf(n_frames) or p_center == 0.0:
         return (0.0, 0.0)
     eps = eps_pe / 3.0
+    if eps**4 == 0.0:
+        raise DomainError(
+            f"eps_pe = {eps_pe!r} is too small for the multiplicative bound: "
+            "(eps_pe/3)^4 underflows to 0"
+        )
     scale = 2.0 * p_center / n_frames
     delta_plus = math.sqrt(scale * math.log(16.0 / eps**4))
     delta_minus = math.sqrt(scale * 1.5 * math.log(1.0 / eps))

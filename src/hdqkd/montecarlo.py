@@ -63,6 +63,8 @@ PAIRINGS = ("TT", "DD", "mismatch")
 
 _CHUNK = 1_000_000
 _SEED_MASK = (1 << 64) - 1
+#: numpy's samplers take counts as C longs.
+_MAX_PULSES = (1 << 63) - 1
 
 
 @dataclass(frozen=True)
@@ -85,6 +87,8 @@ class SimConfig:
             raise DomainError(
                 f"simulation needs a finite integer n_pulses >= 1, got {n}"
             )
+        if n > _MAX_PULSES:
+            raise DomainError(f"n_pulses must be <= 2^63 - 1, got {n}")
         total = sum(p for _, _, p in self.intensities.roles())
         if abs(total - 1.0) > 1e-9:
             raise ConfigError(

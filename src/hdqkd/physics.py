@@ -30,7 +30,7 @@ __all__ = [
 #: deviation; the measurement frame is one FWHM of the coherence envelope.
 GAUSSIAN_FWHM_FACTOR = 2.0 * math.sqrt(2.0 * math.log(2.0))
 
-#: Default truncation bound for the postselection-probability series: the
+#: Truncation bound for the postselection-probability series: the
 #: summation stops once the remaining Poisson tail mass falls below this.
 DEFAULT_SERIES_TOL = 1e-15
 
@@ -132,31 +132,29 @@ def postselection_prob_series(
     eta_bob: float,
     eta_t: float,
     p_d: float,
-    tolerance: float = DEFAULT_SERIES_TOL,
-    max_terms: int = MAX_SERIES_TERMS,
 ) -> float:
     """Series evaluation of the postselection probability.
 
     Sums ``Pr[n pairs] * yield(n)`` over the pair number and truncates
-    once the remaining Poisson tail mass drops below ``tolerance``; since
-    every yield is <= 1, the tail mass bounds the truncation error.
+    once the remaining Poisson tail mass drops below
+    ``DEFAULT_SERIES_TOL``; since every yield is <= 1, the tail mass
+    bounds the truncation error.  Raises :class:`ComputationError` after
+    ``MAX_SERIES_TERMS`` terms.
     """
     if intensity < 0.0:
         raise DomainError(f"intensity must be >= 0, got {intensity}")
-    if tolerance <= 0.0:
-        raise DomainError(f"tolerance must be > 0, got {tolerance}")
     _check_unit_interval(eta_alice=eta_alice, eta_bob=eta_bob, eta_t=eta_t, p_d=p_d)
     total = 0.0
     pmf = math.exp(-intensity)  # Pr[0 pairs]
     cumulative = 0.0
-    for n in range(max_terms):
+    for n in range(MAX_SERIES_TERMS):
         total += pmf * pair_yield(n, eta_alice, eta_bob, eta_t, p_d)
         cumulative += pmf
-        if 1.0 - cumulative < tolerance:
+        if 1.0 - cumulative < DEFAULT_SERIES_TOL:
             return total
         pmf *= intensity / (n + 1)
     raise ComputationError(
-        f"postselection series did not converge within {max_terms} terms "
+        f"postselection series did not converge within {MAX_SERIES_TERMS} terms "
         f"(intensity={intensity})"
     )
 

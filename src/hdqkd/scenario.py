@@ -7,7 +7,7 @@ model.  Presets mirror the standard evaluation setups: 0.2 dB/km loss,
 93% detector efficiencies, 1 kHz dark counts, a 30 ps coherence time, a
 10 ps correlation-time change, symmetric basis choice, 1e-10 failure
 budgets, decoys at half the signal intensity (and a tenth of that for
-the weak decoy) with 7:2:1 or 4:1 selection ratios.
+the weak decoy) and the mode's default selection ratios.
 
 Config files are plain ``key = value`` lines under ``[physical]``,
 ``[protocol]``, ``[epsilons]`` and ``[security_model]`` sections, with
@@ -35,33 +35,6 @@ if TYPE_CHECKING:
     from .montecarlo import SimConfig
 
 __all__ = ["Scenario", "PRESETS", "parse_config", "preset_names", "build_scenario"]
-
-_SECTIONS = {
-    "physical": {
-        "alpha",
-        "eta_alice",
-        "eta_bob",
-        "r_dc",
-        "delta_j",
-        "delta_coh",
-        "schmidt_d",
-        "delta_delta",
-    },
-    "protocol": {
-        "mode",
-        "mu",
-        "v1",
-        "v2",
-        "ratios",
-        "p_t",
-        "n_pulses",
-        "method",
-        "beta",
-        "delta_phi",
-    },
-    "epsilons": {"eps_pe", "eps_ec", "eps_bar", "eps_pa"},
-    "security_model": {"model", "table"},
-}
 
 
 @dataclass(frozen=True)
@@ -142,14 +115,7 @@ def _preset(
     method: str,
     n_pulses: str = "inf",
 ) -> dict[str, dict[str, str]]:
-    ratios = "7:2:1" if mode == TWO_DECOY else "4:1"
-    protocol = {
-        "mode": mode,
-        "mu": repr(mu),
-        "ratios": ratios,
-        "method": method,
-        "n_pulses": n_pulses,
-    }
+    protocol = {"mode": mode, "mu": repr(mu), "method": method, "n_pulses": n_pulses}
     return {"physical": {"schmidt_d": str(d)}, "protocol": protocol}
 
 
@@ -194,7 +160,6 @@ _DEFAULTS: dict[str, dict[str, str]] = {
     "protocol": {
         "mode": TWO_DECOY,
         "mu": "0.10",
-        "ratios": "7:2:1",
         "p_t": "0.5",
         "n_pulses": "inf",
         "method": "hoeffding",
@@ -209,6 +174,13 @@ _DEFAULTS: dict[str, dict[str, str]] = {
     },
     "security_model": {"model": "table"},
 }
+
+#: Keys a document may set: every defaulted key, plus the optional ones
+#: whose absence means a derived value (decoy intensities, selection
+#: ratios) or the pinned table.
+_SECTIONS = {section: set(keys) for section, keys in _DEFAULTS.items()}
+_SECTIONS["protocol"] |= {"v1", "v2", "ratios"}
+_SECTIONS["security_model"] |= {"table"}
 
 
 def _parse_lines(text: str) -> dict[str, dict[str, str]]:
@@ -321,7 +293,8 @@ def build_scenario(
         )
     mu = _to_float("protocol", "mu", proto["mu"])
     v1 = _to_float("protocol", "v1", proto["v1"]) if "v1" in proto else mu / 2.0
-    p_mu, p_v1 = _parse_ratios(proto["ratios"], mode)
+    ratios = proto.get("ratios", "7:2:1" if mode == TWO_DECOY else "4:1")
+    p_mu, p_v1 = _parse_ratios(ratios, mode)
     try:
         if mode == TWO_DECOY:
             v2 = _to_float("protocol", "v2", proto["v2"]) if "v2" in proto else v1 / 10.0
@@ -398,27 +371,16 @@ def parse_config(text: str, preset: str | None = None) -> Scenario:
     """Parse a configuration document, optionally on top of a preset.
 
     Precedence: package defaults, then the preset, then the document.
-    Changing ``mu`` or ``mode`` in the document invalidates inherited
-    decoy intensities (they fall back to the derived defaults), and a
-    mode change without explicit ratios picks the mode's default ratios.
+    Neither defaults nor presets set ``v1``, ``v2`` or ``ratios``, so
+    unless the document does, they follow the final ``mu`` and ``mode``
+    (``v1 = mu/2``, ``v2 = v1/10`` and the mode's default ratios).
     """
     values = _DEFAULTS
-    name = preset or "custom"
     if preset is not None:
         if preset not in PRESETS:
             raise ConfigError(
                 f"unknown preset {preset!r} (available: {', '.join(preset_names())})"
             )
         values = _merge(values, PRESETS[preset])
-    overrides = _parse_lines(text)
-    proto_over = overrides.get("protocol", {})
-    if proto_over:
-        proto = dict(values["protocol"])
-        if "mu" in proto_over or "mode" in proto_over:
-            proto.pop("v1", None)
-            proto.pop("v2", None)
-        if "mode" in proto_over and "ratios" not in proto_over:
-            proto["ratios"] = "7:2:1" if proto_over["mode"] == TWO_DECOY else "4:1"
-        values = {**values, "protocol": proto}
-    values = _merge(values, overrides)
-    return build_scenario(values, name=name)
+    values = _merge(values, _parse_lines(text))
+    return build_scenario(values, name=preset or "custom")

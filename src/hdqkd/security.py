@@ -67,15 +67,14 @@ class SecurityQuantities:
 
 
 class SecurityModel(Protocol):
-    """Anything that can evaluate the security quantities."""
+    """Anything that can evaluate the security quantities.
+
+    A query is the Schmidt number and the two excess-noise factors
+    ``(d, zeta_t, zeta_w)``; the bound depends on nothing else.
+    """
 
     def quantities(
-        self,
-        d: int,
-        delta_coh: float,
-        delta_cor: float,
-        zeta_t: float,
-        zeta_w: float,
+        self, d: int, zeta_t: float, zeta_w: float
     ) -> SecurityQuantities: ...
 
 
@@ -88,13 +87,9 @@ def gaussian_entropy(nu: float) -> float:
     return a * math.log2(a) - b * math.log2(b)
 
 
-def _validate_query(
-    d: int, delta_coh: float, delta_cor: float, zeta_t: float, zeta_w: float
-) -> None:
+def _validate_query(d: int, zeta_t: float, zeta_w: float) -> None:
     if not 2 <= d < math.inf or int(d) != d:
         raise DomainError(f"dimension must be an integer >= 2, got {d}")
-    if not (0.0 < delta_coh < math.inf and 0.0 < delta_cor < math.inf):
-        raise DomainError("coherence and correlation times must be finite and > 0")
     if not (zeta_t >= 0.0 and zeta_w >= 0.0):
         raise DomainError(
             f"excess-noise factors must be >= 0, got ({zeta_t}, {zeta_w})"
@@ -151,15 +146,8 @@ class GaussianSecurityModel:
     noise factor.
     """
 
-    def quantities(
-        self,
-        d: int,
-        delta_coh: float,
-        delta_cor: float,
-        zeta_t: float,
-        zeta_w: float,
-    ) -> SecurityQuantities:
-        _validate_query(d, delta_coh, delta_cor, zeta_t, zeta_w)
+    def quantities(self, d: int, zeta_t: float, zeta_w: float) -> SecurityQuantities:
+        _validate_query(d, zeta_t, zeta_w)
         i_ab, phi_ub = _gaussian_bound(d, zeta_t, zeta_w)
         return SecurityQuantities(i_ab=i_ab, phi_ub=phi_ub, i_r=math.log2(d))
 
@@ -240,15 +228,8 @@ class TableSecurityModel:
         frac = (value - grid[lo]) / (grid[hi] - grid[lo])
         return lo, hi, frac
 
-    def quantities(
-        self,
-        d: int,
-        delta_coh: float,
-        delta_cor: float,
-        zeta_t: float,
-        zeta_w: float,
-    ) -> SecurityQuantities:
-        _validate_query(d, delta_coh, delta_cor, zeta_t, zeta_w)
+    def quantities(self, d: int, zeta_t: float, zeta_w: float) -> SecurityQuantities:
+        _validate_query(d, zeta_t, zeta_w)
         if d not in self._grids:
             raise SecurityModelError(
                 f"dimension d={d} not tabulated (available: {self.dimensions()})"

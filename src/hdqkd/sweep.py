@@ -108,11 +108,7 @@ def run_point(scenario: Scenario, length_km: float) -> ResultRow:
         )
     else:
         sq = scenario.security_model.quantities(
-            phys.schmidt_d,
-            phys.delta_coh,
-            frame.delta_cor,
-            bounds.zeta_t_ub,
-            bounds.zeta_w_ub,
+            phys.schmidt_d, bounds.zeta_t_ub, bounds.zeta_w_ub
         )
         result = secure_key_capacity(
             scenario.beta,

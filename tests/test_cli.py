@@ -126,6 +126,31 @@ class TestExitCodes:
         assert "v2" in result.stderr
 
     @pytest.mark.parametrize(
+        "document, args, key",
+        [
+            # e^mu overflowed in the decoy bounds.
+            ("[protocol]\nmu = 710\n", ("point", "--length", "0"), "mu"),
+            # (eps_pe/3)^4 underflowed to 0 in the multiplicative width.
+            (
+                "[epsilons]\neps_pe = 1e-100\n",
+                ("point", "--preset", "fig4a", "--length", "0"),
+                "eps_pe",
+            ),
+            # numpy takes pulse counts as C longs.
+            ("", ("simulate", "--preset", "fig2c", "--n-pulses", "1e19"), "n_pulses"),
+            ("", ("coverage", "--preset", "fig2c", "--n-pulses", "1e19"), "n_pulses"),
+        ],
+    )
+    def test_overflowing_value_exits_config_error(self, tmp_path, document, args, key):
+        config = tmp_path / "scenario.cfg"
+        config.write_text(document)
+        result = run_cli(*args, "--config", str(config))
+        assert result.returncode == 1
+        assert result.stderr.startswith("config error:") and key in result.stderr
+        assert "Traceback" not in result.stderr
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize(
         "command, extra",
         [
             ("point", ("--length", "50")),

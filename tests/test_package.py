@@ -15,6 +15,7 @@ import hdqkd
 import hdqkd.montecarlo
 from hdqkd.cli import build_parser
 from hdqkd.fluctuation import METHODS
+from hdqkd.scenario import _SECTIONS, parse_config
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 README = SRC.parent / "README.md"
@@ -83,3 +84,19 @@ def test_method_lists_match_fluctuation_methods():
     }
     assert set(choices) == {"point", "sweep", "maxdist", "coverage"}
     assert all(tuple(c) == METHODS for c in choices.values())
+
+
+def test_readme_config_block_is_the_accepted_key_set():
+    # The documented block parses, and its keys (the commented-out table
+    # path included) are exactly the keys a document may set.
+    text = README.read_text(encoding="utf-8")
+    (block,) = re.findall(r"```ini\n(.*?)```", text, re.DOTALL)
+    parse_config(block)
+    keys: dict[str, set[str]] = {}
+    for line in block.splitlines():
+        if header := re.fullmatch(r"\[(\w+)\]", line):
+            section = header.group(1)
+            keys[section] = set()
+        elif entry := re.match(r"(?:# )?(\w+) = ", line):
+            keys[section].add(entry.group(1))
+    assert keys == _SECTIONS

@@ -5,12 +5,22 @@ import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hdqkd.decoy import SINGLE_DECOY, TWO_DECOY
-from hdqkd.errors import ConfigError
+from hdqkd.errors import ConfigError, HdqkdError
 from hdqkd.physics import GAUSSIAN_FWHM_FACTOR
-from hdqkd.scenario import PRESETS, parse_config, preset_names
+from hdqkd.scenario import _SECTIONS, PRESETS, parse_config, preset_names
 from hdqkd.security import GaussianSecurityModel, TableSecurityModel
+from hdqkd.sweep import run_point
+
+# Fuzz alphabet: every accepted key, and the words a value may be.
+KEYS = sorted((section, key) for section, keys in _SECTIONS.items() for key in keys)
+WORDS = [
+    TWO_DECOY, SINGLE_DECOY, "hoeffding", "chernoff", "gaussian", "table",
+    "inf", "-inf", "nan", "7:2:1", "4:1", "1:1:1", "8", "32", "0", "x",
+]
 
 
 class TestPresets:
@@ -155,6 +165,45 @@ class TestParsing:
             parse_config(f"[protocol]\nratios = {weights}\n")
 
 
+class TestConfigFuzz:
+    """Any document either is rejected or evaluates to documented values."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(
+        preset=st.sampled_from([None, *preset_names()]),
+        document=st.dictionaries(
+            st.sampled_from(KEYS),
+            st.floats().map(repr) | st.sampled_from(WORDS),
+            max_size=4,
+        ),
+    )
+    # e^mu overflowed in the decoy bounds.
+    @example(preset=None, document={("protocol", "mu"): "710"})
+    @example(
+        preset=None,
+        document={("protocol", "mu"): "710", ("protocol", "mode"): SINGLE_DECOY},
+    )
+    # (eps_pe/3)^4 underflowed to 0 in the multiplicative width.
+    @example(preset="fig4a", document={("epsilons", "eps_pe"): "1e-100"})
+    def test_accepted_documents_give_finite_rows(self, preset, document):
+        text = "".join(
+            f"[{sec}]\n{key} = {value}\n" for (sec, key), value in document.items()
+        )
+        try:
+            scenario = parse_config(text, preset=preset)
+            rows = [run_point(scenario, length) for length in (0.0, 80.0)]
+        except HdqkdError:
+            return
+        for row in rows:
+            terms = (row.kmu_lb, row.ec_term, row.pa_term, row.smooth_term)
+            assert all(math.isfinite(t) for t in terms), row
+            capacity = (row.delta_i, row.r_hd, row.zeta_t_ub, row.zeta_w_ub)
+            if row.delta_i == -math.inf:  # the no-key sentinels
+                assert capacity == (-math.inf, -math.inf, math.inf, math.inf), row
+            else:
+                assert all(math.isfinite(v) for v in capacity), row
+
+
 class TestScenarioGuards:
     """The dataclass rejects NaN on the API path, not only in the parser."""
 
@@ -202,7 +251,7 @@ class TestSecurityModelSelection:
         path.write_text(path.read_text().replace("3.0 0.0", "2.9 0.0", 1))
         second = parse_config(text)
         assert first.security_model is not second.security_model
-        sq = second.security_model.quantities(8, 30e-12, 240e-12, 0.0, 0.0)
+        sq = second.security_model.quantities(8, 0.0, 0.0)
         assert sq.i_ab == 2.9
 
     def test_gaussian_selection(self):
@@ -218,7 +267,7 @@ class TestSecurityModelSelection:
         )
         s = parse_config(f"[security_model]\nmodel = table\ntable = {path}\n")
         assert s.security_ref == f"table:{path}"
-        sq = s.security_model.quantities(8, 30e-12, 240e-12, 0.0, 0.0)
+        sq = s.security_model.quantities(8, 0.0, 0.0)
         assert sq.i_ab == 3.0
 
     def test_missing_table_file(self):

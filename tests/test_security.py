@@ -20,13 +20,6 @@ from hdqkd.security import (
     load_pinned_table,
 )
 
-DCOH = 30e-12
-
-
-def dcor(d: int) -> float:
-    return d * DCOH
-
-
 SMALL_TABLE = """
 # d zeta_t zeta_w i_ab phi_ub
 8 0.0 0.0 3.0 0.0
@@ -39,34 +32,34 @@ SMALL_TABLE = """
 class TestTableModel:
     def test_node_lookup_verbatim(self):
         table = TableSecurityModel.from_text(SMALL_TABLE)
-        sq = table.quantities(8, DCOH, dcor(8), 0.1, 0.1)
+        sq = table.quantities(8, 0.1, 0.1)
         assert sq.i_ab == 2.7
         assert sq.phi_ub == 0.5
         assert sq.i_r == 3.0
 
     def test_midpoint_linear_rule(self):
         table = TableSecurityModel.from_text(SMALL_TABLE)
-        sq = table.quantities(8, DCOH, dcor(8), 0.05, 0.05)
+        sq = table.quantities(8, 0.05, 0.05)
         # Bilinear interpolation at the cell center averages the corners.
         assert sq.i_ab == pytest.approx((3.0 + 2.9 + 2.8 + 2.7) / 4, rel=1e-12)
         assert sq.phi_ub == pytest.approx((0.0 + 0.2 + 0.3 + 0.5) / 4, rel=1e-12)
 
     def test_interpolation_along_one_axis(self):
         table = TableSecurityModel.from_text(SMALL_TABLE)
-        sq = table.quantities(8, DCOH, dcor(8), 0.0, 0.025)
+        sq = table.quantities(8, 0.0, 0.025)
         assert sq.phi_ub == pytest.approx(0.05, rel=1e-12)
 
     def test_out_of_hull_named(self):
         table = TableSecurityModel.from_text(SMALL_TABLE)
         with pytest.raises(SecurityModelError, match="zeta_t"):
-            table.quantities(8, DCOH, dcor(8), 0.2, 0.05)
+            table.quantities(8, 0.2, 0.05)
         with pytest.raises(SecurityModelError, match="zeta_w"):
-            table.quantities(8, DCOH, dcor(8), 0.05, 0.2)
+            table.quantities(8, 0.05, 0.2)
 
     def test_unknown_dimension(self):
         table = TableSecurityModel.from_text(SMALL_TABLE)
         with pytest.raises(SecurityModelError, match="d=16"):
-            table.quantities(16, DCOH, dcor(16), 0.05, 0.05)
+            table.quantities(16, 0.05, 0.05)
 
     def test_duplicate_rejected(self):
         with pytest.raises(SecurityModelError, match="duplicate"):
@@ -82,22 +75,14 @@ class TestTableModel:
             TableSecurityModel.from_text("8 0.0 0.0 3.0\n")
 
     def test_negative_query_rejected(self):
-        bad = [
-            (DCOH, dcor(8), -0.01, 0.0),
-            (DCOH, dcor(8), math.nan, 0.0),
-            (DCOH, dcor(8), 0.0, math.nan),
-            (math.nan, dcor(8), 0.0, 0.0),
-            (DCOH, math.nan, 0.0, 0.0),
-            (math.inf, dcor(8), 0.0, 0.0),
-            (DCOH, math.inf, 0.0, 0.0),
-        ]
+        bad = [(-0.01, 0.0), (math.nan, 0.0), (0.0, math.nan)]
         for model in (TableSecurityModel.from_text(SMALL_TABLE), GaussianSecurityModel()):
             for args in bad:
                 with pytest.raises(DomainError):
                     model.quantities(8, *args)
             for d in (math.nan, math.inf):
                 with pytest.raises(DomainError):
-                    model.quantities(d, DCOH, dcor(8), 0.0, 0.0)
+                    model.quantities(d, 0.0, 0.0)
 
     @pytest.mark.parametrize("field", ["i_ab", "phi_ub", "i_r"])
     def test_nan_quantities_rejected(self, field):
@@ -114,23 +99,23 @@ class TestPinnedTable:
         table = load_pinned_table()
         assert table.dimensions() == [8, 32]
         for d in (8, 32):
-            sq0 = table.quantities(d, DCOH, dcor(d), 0.0, 0.0)
+            sq0 = table.quantities(d, 0.0, 0.0)
             assert sq0.phi_ub == 0.0
             assert sq0.i_ab == pytest.approx(math.log2(d), rel=1e-9)
             # The hull reaches the no-key cap.
-            table.quantities(d, DCOH, dcor(d), 1000.0, 1000.0)
+            table.quantities(d, 1000.0, 1000.0)
 
     def test_monotone_along_grid_axes(self):
         table = load_pinned_table()
         for d in PINNED_DIMENSIONS:
             for w in (0.0, 0.1, 1.0):
                 phis = [
-                    table.quantities(d, DCOH, dcor(d), t, w).phi_ub
+                    table.quantities(d, t, w).phi_ub
                     for t in PINNED_ZETA_GRID
                 ]
                 assert all(b >= a - 1e-12 for a, b in zip(phis, phis[1:]))
                 iabs = [
-                    table.quantities(d, DCOH, dcor(d), t, w).i_ab
+                    table.quantities(d, t, w).i_ab
                     for t in PINNED_ZETA_GRID
                 ]
                 assert all(b <= a + 1e-12 for a, b in zip(iabs, iabs[1:]))
@@ -141,8 +126,8 @@ class TestPinnedTable:
         for d in PINNED_DIMENSIONS:
             for zt in PINNED_ZETA_GRID:
                 for zw in PINNED_ZETA_GRID:
-                    got = table.quantities(d, DCOH, dcor(d), zt, zw)
-                    want = model.quantities(d, DCOH, dcor(d), zt, zw)
+                    got = table.quantities(d, zt, zw)
+                    want = model.quantities(d, zt, zw)
                     assert got.phi_ub == pytest.approx(want.phi_ub, rel=1e-10, abs=1e-12)
                     assert got.i_ab == pytest.approx(want.i_ab, rel=1e-10)
 
@@ -155,7 +140,7 @@ class TestPinnedTable:
         for d in PINNED_DIMENSIONS:
             for zt in PINNED_ZETA_GRID:
                 for zw in PINNED_ZETA_GRID:
-                    q = table.quantities(d, DCOH, dcor(d), zt, zw)
+                    q = table.quantities(d, zt, zw)
                     lines.append(f"{d} {zt:.12g} {zw:.12g} {q.i_ab:.12g} {q.phi_ub:.12g}")
         assert len(lines) == 1568
         digest = hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest()
@@ -217,18 +202,18 @@ class TestGaussianModel:
         model = GaussianSecurityModel()
         for d in (2, 8, 32):
             for zeta in (0.0, 0.01, 0.1, 1.0, 100.0):
-                sq = model.quantities(d, DCOH, dcor(d), zeta, zeta)
+                sq = model.quantities(d, zeta, zeta)
                 assert 0.0 <= sq.i_ab <= math.log2(d) + 1e-12
                 assert sq.phi_ub >= 0.0
                 assert sq.i_r == math.log2(d)
 
     def test_zero_noise_is_minimum(self):
         model = GaussianSecurityModel()
-        base = model.quantities(8, DCOH, dcor(8), 0.0, 0.0)
+        base = model.quantities(8, 0.0, 0.0)
         assert base.phi_ub == 0.0
         assert base.i_ab == pytest.approx(3.0, rel=1e-12)
-        assert model.quantities(8, DCOH, dcor(8), 0.001, 0.001).phi_ub <= (
-            model.quantities(8, DCOH, dcor(8), 0.01, 0.01).phi_ub
+        assert model.quantities(8, 0.001, 0.001).phi_ub <= (
+            model.quantities(8, 0.01, 0.01).phi_ub
         )
 
     @given(
@@ -239,20 +224,18 @@ class TestGaussianModel:
     @settings(max_examples=200)
     def test_monotone_in_each_noise_argument(self, d, zeta, bump):
         model = GaussianSecurityModel()
-        base = model.quantities(d, DCOH, dcor(d), zeta, zeta).phi_ub
-        more_t = model.quantities(d, DCOH, dcor(d), zeta + bump, zeta).phi_ub
-        more_w = model.quantities(d, DCOH, dcor(d), zeta, zeta + bump).phi_ub
+        base = model.quantities(d, zeta, zeta).phi_ub
+        more_t = model.quantities(d, zeta + bump, zeta).phi_ub
+        more_w = model.quantities(d, zeta, zeta + bump).phi_ub
         assert more_t >= base - 1e-10
         assert more_w >= base - 1e-10
 
     def test_domain_errors(self):
         model = GaussianSecurityModel()
         with pytest.raises(DomainError):
-            model.quantities(1, DCOH, dcor(2), 0.0, 0.0)
+            model.quantities(1, 0.0, 0.0)
         with pytest.raises(DomainError):
-            model.quantities(8, DCOH, dcor(8), -0.1, 0.0)
-        with pytest.raises(DomainError):
-            model.quantities(8, 0.0, dcor(8), 0.0, 0.0)
+            model.quantities(8, -0.1, 0.0)
 
     def test_against_independent_spectral_oracle(self):
         model = GaussianSecurityModel()
@@ -264,7 +247,7 @@ class TestGaussianModel:
             (32, 0.5, 0.1),
         ]
         for d, zt, zw in points:
-            sq = model.quantities(d, DCOH, dcor(d), zt, zw)
+            sq = model.quantities(d, zt, zw)
             i_ab, phi = _spectral_oracle(d, zt, zw)
             assert sq.i_ab == pytest.approx(i_ab, rel=1e-10)
             assert sq.phi_ub == pytest.approx(phi, rel=1e-8, abs=1e-10)
