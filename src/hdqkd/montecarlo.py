@@ -9,16 +9,18 @@ on, in three steps that are exact in distribution:
    categorical with probability ``p_role * pi_pairing``, where ``pi`` is
    ``(p_t**2, (1 - p_t)**2, 2 p_t (1 - p_t))`` for TT, DD and mismatch.
    So the frame counts of all cells are one multinomial draw.
-2. The pair number depends on the intensity only, so each cell draws one
-   Poisson number per frame at its role's intensity.
+2. The pair number depends on the intensity only, so the pair numbers
+   of a cell's m frames are m iid Poisson draws at its role's intensity,
+   and their counts per value are one Multinomial(m, pmf) draw.
 3. The parties detect independently given the pair number n, so the
    coincidences among the m frames of a cell that share n are
    Binomial(m, P_alice(n) * P_bob(n)).
 
-The empirical postselection probabilities validate the analytic model.
-The session sampler never uses a summed postselection probability: each
-frame's pair number comes from numpy's Poisson sampler, which keeps the
-comparison with the closed form independent.
+No draw is per frame, so a session costs the same at any pulse count.
+Its tally validates the analytic model and shares no code with it: each
+role's pair-number pmf is computed here from ``math.lgamma``, not by
+:func:`~hdqkd.physics.poisson_pmf` or a postselection series, and
+criterion 1 separately pins the closed form against the series to 1e-12.
 
 Coverage needs only each trial's estimation (DD) cells, so it draws
 counts: step 1 as one multinomial per trial, then each role's DD
@@ -62,6 +64,8 @@ __all__ = [
 PAIRINGS = ("TT", "DD", "mismatch")
 
 _CHUNK = 1_000_000
+#: Pair numbers 0 .. _PAIR_BINS - 2 have a bin each; the rest share the last.
+_PAIR_BINS = 64
 _SEED_MASK = (1 << 64) - 1
 #: numpy's samplers take counts as C longs.
 _MAX_PULSES = (1 << 63) - 1
@@ -150,6 +154,12 @@ def _cell_probabilities(config: SimConfig) -> np.ndarray:
     return cell_p / cell_p.sum()
 
 
+def _pair_pmf(lam: float) -> list[float]:
+    """Poisson pmf of the pair number (``0.0**0 == 1`` makes λ = 0 a point mass)."""
+    pmf = [lam**n * math.exp(-lam - math.lgamma(n + 1)) for n in range(_PAIR_BINS - 1)]
+    return pmf + [max(0.0, 1.0 - math.fsum(pmf))]
+
+
 def simulate_session(config: SimConfig) -> SessionTally:
     """Run one protocol session of ``n_pulses`` frames.
 
@@ -159,42 +169,32 @@ def simulate_session(config: SimConfig) -> SessionTally:
     and each party detects independently given the pair number, with the
     per-frame dark-count probability filling in for lost photons.  A
     coincidence is both parties detecting.  The draws follow the module's
-    three steps: one multinomial for the cell counts, one Poisson pair
-    number per frame, and one binomial per (cell, pair number) for the
-    coincidences.  Identical configs (seed included) produce identical
-    tallies.
+    three steps: one multinomial for the cell counts, one multinomial per
+    cell for its pair numbers, and one binomial per (cell, pair number)
+    for the coincidences, so the cost does not depend on ``n_pulses``.
+    Identical configs (seed included) produce identical tallies.
     """
     roles = config.intensities.roles()
-    cell_p = _cell_probabilities(config)
     p_d = config.frame.p_d
     # Detection probabilities depend only on the (small) pair number.
-    # The table is long enough that Poisson draws above it have
-    # probability ~0 at any sane intensity, and the last entry is exact
-    # in that regime anyway.
-    lut_n = 64
-    grid = np.arange(lut_n)
+    # Pair numbers in the last bin have probability ~0 at any sane
+    # intensity, and the last entry is exact in that regime anyway.
+    grid = np.arange(_PAIR_BINS)
     lut_alice = 1.0 - (1.0 - config.phys.eta_alice) ** grid * (1.0 - p_d)
     lut_bob = (
         1.0
         - (1.0 - config.phys.eta_bob * config.channel.eta_t) ** grid * (1.0 - p_d)
     )
-    lut_both = lut_alice * lut_bob
+    pmf = np.repeat([_pair_pmf(lam) for _, lam, _p in roles], len(PAIRINGS), axis=0)
     rng = np.random.Generator(np.random.Philox(key=config.seed & _SEED_MASK))
 
-    frames = rng.multinomial(int(config.n_pulses), cell_p)
-    cells = {}
-    for k, count in enumerate(frames.tolist()):
-        role, lam, _p = roles[k // len(PAIRINGS)]
-        coincidences = 0
-        # Slices of at most _CHUNK pair numbers bound a long session's memory.
-        for start in range(0, count, _CHUNK):
-            pairs = rng.poisson(lam, min(_CHUNK, count - start))
-            np.minimum(pairs, lut_n - 1, out=pairs)
-            per_n = np.bincount(pairs, minlength=lut_n)
-            coincidences += int(rng.binomial(per_n, lut_both).sum())
-        cells[(role, PAIRINGS[k % len(PAIRINGS)])] = CellCount(
-            frames=count, coincidences=coincidences
-        )
+    frames = rng.multinomial(int(config.n_pulses), _cell_probabilities(config))
+    hits = rng.binomial(rng.multinomial(frames, pmf), lut_alice * lut_bob)
+    names = [(role, pairing) for role, _lam, _p in roles for pairing in PAIRINGS]
+    cells = {
+        name: CellCount(frames=count, coincidences=hit)
+        for name, count, hit in zip(names, frames.tolist(), hits.sum(1).tolist())
+    }
     return SessionTally(config=config, cells=cells)
 
 

@@ -90,9 +90,11 @@ def gaussian_entropy(nu: float) -> float:
 def _validate_query(d: int, zeta_t: float, zeta_w: float) -> None:
     if not 2 <= d < math.inf or int(d) != d:
         raise DomainError(f"dimension must be an integer >= 2, got {d}")
-    if not (zeta_t >= 0.0 and zeta_w >= 0.0):
+    if not (0.0 <= zeta_t < math.inf and 0.0 <= zeta_w < math.inf):
+        name = "zeta_w" if 0.0 <= zeta_t < math.inf else "zeta_t"
         raise DomainError(
-            f"excess-noise factors must be >= 0, got ({zeta_t}, {zeta_w})"
+            f"excess-noise factor {name} must be finite and >= 0, "
+            f"got ({zeta_t}, {zeta_w})"
         )
 
 

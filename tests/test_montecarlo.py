@@ -17,7 +17,6 @@ from hdqkd.errors import (
     EstimationImpossibleError,
 )
 from hdqkd.montecarlo import (
-    _CHUNK,
     PAIRINGS,
     CellCount,
     SessionTally,
@@ -74,23 +73,23 @@ class TestSimulateSession:
         assert sum(c.frames for c in tally.cells.values()) == 200_000
         assert all(c.coincidences <= c.frames for c in tally.cells.values())
 
-    @pytest.mark.parametrize("n_pulses", [_CHUNK + 1, 2 * _CHUNK + 7])
-    def test_frames_sum_to_pulses_across_slices(self, n_pulses):
+    @pytest.mark.parametrize("n_pulses", [10**12, 2**63 - 1])
+    def test_frames_sum_to_pulses_at_any_size(self, n_pulses):
         tally = simulate_session(make_config(n_pulses=n_pulses))
         assert sum(c.frames for c in tally.cells.values()) == n_pulses
         assert all(c.coincidences <= c.frames for c in tally.cells.values())
 
-    def test_every_frame_of_every_slice_counted(self, monkeypatch):
+    def test_every_frame_of_every_cell_counted(self):
         # With certain dark counts every frame is a coincidence, so a
-        # slice that dropped or repeated frames would show.  Slices of 7
-        # frames put many slice edges inside every cell; the cell counts
-        # are drawn before any slice, so they do not move.
-        config = make_config(p_d=1.0, n_pulses=10_000)
-        whole = simulate_session(config)
-        monkeypatch.setattr(montecarlo, "_CHUNK", 7)
-        sliced = simulate_session(config)
-        assert sliced.cells == whole.cells
-        assert all(c.coincidences == c.frames for c in sliced.cells.values())
+        # pair-number bin that dropped or repeated frames would show.
+        tally = simulate_session(make_config(p_d=1.0, n_pulses=10**12))
+        assert sum(c.frames for c in tally.cells.values()) == 10**12
+        assert all(c.coincidences == c.frames for c in tally.cells.values())
+
+    def test_no_frame_a_coincidence_without_detection(self):
+        tally = simulate_session(make_config(eta=0.0, p_d=0.0, n_pulses=10**12))
+        assert sum(c.frames for c in tally.cells.values()) == 10**12
+        assert all(c.coincidences == 0 for c in tally.cells.values())
 
     @pytest.mark.parametrize("n_pulses", [math.nan, 2.5, 0.5, 0, -1, math.inf])
     def test_pulse_count_must_be_finite_integer(self, n_pulses):
@@ -289,10 +288,11 @@ class TestCoverage:
 
 class TestCountLevelSampler:
     def test_dd_coincidences_match_frame_level_sessions(self):
-        # The count-level draw of the coverage experiment and the
-        # frame-level sessions must agree in distribution, per role's DD
-        # coincidences, in the multi-pair regime where the Poisson
-        # mixture matters.
+        # The coverage experiment's one binomial per role (its P_role
+        # from the postselection series) and the sessions' pair-number
+        # multinomials (their pmf from lgamma) must agree in distribution,
+        # per role's DD coincidences, in the multi-pair regime where the
+        # Poisson mixture matters.
         config = replace(
             make_config(length_km=20.0, mu=2.0, eta=0.5, n_pulses=20_000),
             p_t=0.3,
@@ -342,6 +342,42 @@ class TestStatisticalSoundness:
                 0.01,
                 "hoeffding",
             )
+            bounds = estimate_bounds(stats, config.intensities, config.frame.p_d)
+            ok = (
+                bounds.gamma1_lb <= gamma1_true
+                and bounds.kmu_lb <= kmu_true
+                and bounds.zeta_t_ub >= zeta_true
+            )
+            failures += not ok
+        assert failures / sessions <= 0.02
+
+    @pytest.mark.parametrize(
+        ("preset", "length_km", "method"),
+        [("fig2b", 50.0, "hoeffding"), ("fig3b", 0.0, "chernoff")],
+    )
+    def test_bounds_hold_at_preset_block_size(self, preset, length_km, method):
+        # The same invariant at the presets' own N = 1e10, on two-decoy
+        # presets.  fig3b at 0 km lies inside the multiplicative bound's
+        # checked reach, so no interval may fail its preconditions.
+        scenario = parse_config("", preset=preset)
+        config = scenario.sim_config(length_km, seed=5150, n_pulses=10**10)
+        gamma1_true, kmu_true = true_quantities(
+            config.intensities, config.phys, config.frame, length_km
+        )
+        zeta_true = config.frame.zeta
+        sessions = 300
+        failures = 0
+        for trial in range(sessions):
+            tally = simulate_session(replace(config, seed=config.seed ^ trial))
+            stats, failed = attach_fluctuation(
+                empirical_stats(tally, zeta_true, 0.0),
+                config.intensities,
+                config.p_t,
+                config.n_pulses,
+                0.01,
+                method,
+            )
+            assert not failed
             bounds = estimate_bounds(stats, config.intensities, config.frame.p_d)
             ok = (
                 bounds.gamma1_lb <= gamma1_true

@@ -76,9 +76,13 @@ class TestTableModel:
 
     def test_negative_query_rejected(self):
         bad = [(-0.01, 0.0), (math.nan, 0.0), (0.0, math.nan)]
+        infinite = {(math.inf, 0.0): "zeta_t", (0.0, math.inf): "zeta_w"}
         for model in (TableSecurityModel.from_text(SMALL_TABLE), GaussianSecurityModel()):
             for args in bad:
                 with pytest.raises(DomainError):
+                    model.quantities(8, *args)
+            for args, name in infinite.items():
+                with pytest.raises(DomainError, match=name):
                     model.quantities(8, *args)
             for d in (math.nan, math.inf):
                 with pytest.raises(DomainError):
