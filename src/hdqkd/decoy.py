@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Mapping
 
@@ -157,16 +158,18 @@ class IntensityConfig:
             return 0.0
         return 1.0 - self.p_mu - self.p_v1
 
-    def roles(self) -> list[tuple[str, float, float]]:
+    def roles(self) -> tuple[tuple[str, float, float], ...]:
         """(role, intensity, selection probability) triples, signal first
-        and strictly descending in intensity."""
-        if self.v2 is not None:
-            return [
-                ("mu", self.mu, self.p_mu),
-                ("v1", self.v1, self.p_v1),
-                ("v2", self.v2, self.p_v2),
-            ]
-        return [("mu", self.mu, self.p_mu), ("v", self.v1, self.p_v1)]
+        and strictly descending in intensity.  Every call returns the same
+        shared tuple, built once per config."""
+        return self._roles
+
+    @cached_property
+    def _roles(self) -> tuple[tuple[str, float, float], ...]:
+        signal = ("mu", self.mu, self.p_mu)
+        if self.v2 is None:
+            return (signal, ("v", self.v1, self.p_v1))
+        return (signal, ("v1", self.v1, self.p_v1), ("v2", self.v2, self.p_v2))
 
 
 @dataclass(frozen=True)
@@ -395,41 +398,35 @@ def excess_noise_upper(
     postselection certifies nothing, and neither does a basis whose bound
     exceeds ``EXCESS_NOISE_CAP``.
     """
-    p_mu_plus = stats["mu"].p_plus
-    if kmu_lb <= 0.0 or p_mu_plus <= 0.0:
+    p_top = stats["mu"].p_plus
+    if kmu_lb <= 0.0 or p_top <= 0.0:
         return math.inf, math.inf
     mu = intensities.mu
+    # Each route's basis-free leading factor is computed once.  `c < best` skips
+    # a NaN route (inf - inf from overflowing multipliers): it certifies nothing.
+    best_t = best_w = math.inf
     # roles() is strictly descending in intensity, so lam1 > lam2 below.
-    entries = [(lam, stats[role]) for role, lam, _p in intensities.roles()]
-
-    def bound(basis: str) -> float:
-        candidates = [
-            mu
-            * math.exp(-mu)
-            / ((lam1 - lam2) * kmu_lb)
-            * (
-                s1.phi(basis) * s1.p_plus * math.exp(lam1) / p_mu_plus
-                - s2.phi(basis) * s2.p_minus * math.exp(lam2) / p_mu_plus
-            )
-            for (lam1, s1), (lam2, s2) in combinations(entries, 2)
-        ]
-        candidates += [
-            math.exp(lam - mu)
-            * (mu * s.p_plus)
-            / (lam * p_mu_plus)
-            * s.phi(basis)
-            / kmu_lb
-            for lam, s in entries
-            if lam > 0.0
-        ]
-        # A branch that evaluates to NaN (an inf - inf difference when the
-        # multipliers overflow) certifies nothing; min() would not skip it.
-        return max(
-            0.0,
-            min((c for c in candidates if not math.isnan(c)), default=math.inf) - 1.0,
-        )
-
-    zeta_t, zeta_w = bound("t"), bound("w")
+    for (r1, lam1, _p1), (r2, lam2, _p2) in combinations(intensities.roles(), 2):
+        a, b = stats[r1], stats[r2]
+        lead = mu * math.exp(-mu) / ((lam1 - lam2) * kmu_lb)
+        e1, e2 = math.exp(lam1), math.exp(lam2)
+        c = lead * (a.phi_t * a.p_plus * e1 / p_top - b.phi_t * b.p_minus * e2 / p_top)
+        if c < best_t:
+            best_t = c
+        c = lead * (a.phi_w * a.p_plus * e1 / p_top - b.phi_w * b.p_minus * e2 / p_top)
+        if c < best_w:
+            best_w = c
+    for role, lam, _p in intensities.roles():
+        if lam > 0.0:
+            s = stats[role]
+            lead = math.exp(lam - mu) * (mu * s.p_plus) / (lam * p_top)
+            c = lead * s.phi_t / kmu_lb
+            if c < best_t:
+                best_t = c
+            c = lead * s.phi_w / kmu_lb
+            if c < best_w:
+                best_w = c
+    zeta_t, zeta_w = max(0.0, best_t - 1.0), max(0.0, best_w - 1.0)
     if max(zeta_t, zeta_w) > EXCESS_NOISE_CAP:
         return math.inf, math.inf
     return zeta_t, zeta_w

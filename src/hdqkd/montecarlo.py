@@ -3,7 +3,9 @@
 Every frame gets its own intensity role, basis pairing and Poisson pair
 number, and both parties detect it (photons or dark counts) independently
 given that pair number.  The sampler draws only what the tally depends
-on, in three steps that are exact in distribution:
+on, in three steps that are exact in distribution up to 2**53 ≈ 9.0e15
+pulses (above that, numpy's multinomial and binomial return counts
+rounded to doubles, though totals stay exact; presets use at most 1e13):
 
 1. Frames are iid and a frame's cell (intensity role, basis pairing) is
    categorical with probability ``p_role * pi_pairing``, where ``pi`` is

@@ -87,7 +87,10 @@ def pair_yield(
     """
     if n < 0 or int(n) != n:
         raise DomainError(f"pair number must be a non-negative integer, got {n}")
-    _check_unit_interval(eta_alice=eta_alice, eta_bob=eta_bob, eta_t=eta_t, p_d=p_d)
+    if not (0.0 <= eta_alice <= 1.0 and 0.0 <= eta_bob <= 1.0) or not (
+        0.0 <= eta_t <= 1.0 and 0.0 <= p_d <= 1.0
+    ):
+        _check_unit_interval(eta_alice=eta_alice, eta_bob=eta_bob, eta_t=eta_t, p_d=p_d)
     miss = 1.0 - p_d
     p_alice = 1.0 - (1.0 - eta_alice) ** n * miss
     p_bob = 1.0 - (1.0 - eta_bob * eta_t) ** n * miss
@@ -114,7 +117,10 @@ def postselection_prob_closed(
     """
     if intensity < 0.0:
         raise DomainError(f"intensity must be >= 0, got {intensity}")
-    _check_unit_interval(eta_alice=eta_alice, eta_bob=eta_bob, eta_t=eta_t, p_d=p_d)
+    if not (0.0 <= eta_alice <= 1.0 and 0.0 <= eta_bob <= 1.0) or not (
+        0.0 <= eta_t <= 1.0 and 0.0 <= p_d <= 1.0
+    ):
+        _check_unit_interval(eta_alice=eta_alice, eta_bob=eta_bob, eta_t=eta_t, p_d=p_d)
     a = eta_alice
     b = eta_bob * eta_t
     miss = 1.0 - p_d

@@ -181,13 +181,17 @@ def max_distance(scenario: Scenario, *, tol_km: float = 0.1) -> float:
     the capacity is assumed non-increasing in length and the zero
     crossing is bisected to ``tol_km``; if the coarse bracketing scan
     shows a non-monotone sign pattern, the search falls back to a fine
-    grid and reports it through the logger.
+    grid and reports it through the logger.  Each length is evaluated
+    at most once per search.
     """
     if not tol_km > 0.0:
         raise DomainError(f"tol_km must be > 0, got {tol_km}")
+    evaluated: dict[float, float] = {}
 
     def capacity(length: float) -> float:
-        return run_point(scenario, length).delta_i
+        if length not in evaluated:
+            evaluated[length] = run_point(scenario, length).delta_i
+        return evaluated[length]
 
     if capacity(0.0) <= 0.0:
         return 0.0
@@ -202,20 +206,16 @@ def max_distance(scenario: Scenario, *, tol_km: float = 0.1) -> float:
             )
             return math.inf
     # Coarse scan of the bracket to detect non-monotone behaviour.
-    samples = [(length, capacity(length)) for length in _grid(0.0, hi, hi / 16.0)]
-    signs = [value > 0.0 for _, value in samples]
+    coarse = _grid(0.0, hi, hi / 16.0)
+    signs = [capacity(length) > 0.0 for length in coarse]
     first_dead = signs.index(False)
     if any(signs[first_dead:]):
         logger.warning(
             "capacity is not monotone in length; falling back to a fine grid scan"
         )
-        last_alive = 0.0
-        for length in _grid(0.0, hi, tol_km):
-            if capacity(length) > 0.0:
-                last_alive = length
-        return last_alive
-    lo = samples[first_dead - 1][0]
-    hi = samples[first_dead][0]
+        # Length 0 is alive, so some grid length is.
+        return max(x for x in _grid(0.0, hi, tol_km) if capacity(x) > 0.0)
+    lo, hi = coarse[first_dead - 1], coarse[first_dead]
     while hi - lo > tol_km:
         mid = 0.5 * (lo + hi)
         if capacity(mid) > 0.0:

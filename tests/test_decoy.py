@@ -101,6 +101,24 @@ class TestIntensityConfig:
         with pytest.raises(DomainError, match="finite"):
             make(*args)
 
+    @pytest.mark.parametrize(
+        "make, args",
+        [
+            (IntensityConfig.two_decoy, (0.1, 0.05, 0.005, 0.7, 0.2)),
+            (IntensityConfig.single_decoy, (0.1, 0.05, 0.8, 0.2)),
+        ],
+        ids=["two-decoy", "single-decoy"],
+    )
+    def test_roles_is_one_shared_tuple(self, make, args):
+        cfg, twin = make(*args), make(*args)
+        text = repr(cfg)
+        roles = cfg.roles()
+        assert isinstance(roles, tuple)
+        assert cfg.roles() is roles
+        # The cached value is no field: equality, hash and repr ignore it.
+        assert cfg == twin and hash(cfg) == hash(twin)
+        assert repr(cfg) == repr(twin) == text
+
     @settings(max_examples=200, derandomize=True)
     @given(
         two=st.booleans(),

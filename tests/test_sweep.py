@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from hdqkd import fluctuation, keyrate, sweep
+from hdqkd import fluctuation, keyrate, physics, sweep
 from hdqkd.errors import DomainError
 from hdqkd.scenario import parse_config, preset_names
 from hdqkd.sweep import (
@@ -120,7 +120,9 @@ class TestCapacityNeverRisesWithLength:
 
 class TestOneEvaluationPerPoint:
     """Each point checks the multiplicative bound's preconditions once per
-    intensity and computes the finite-key terms once."""
+    intensity and computes the finite-key terms once.  Each layer the
+    benchmark's tracer patches runs a fixed number of times per point, so
+    inlining one of them fails here rather than zeroing its metric."""
 
     @pytest.mark.parametrize(
         "preset, method, n_pulses, length, keyed, checks",
@@ -128,6 +130,8 @@ class TestOneEvaluationPerPoint:
             ("fig3b", None, 1e12, 50.0, True, 3),
             ("fig2b", None, 1e9, 150.0, False, 0),
             ("fig2b", "chernoff", 1e9, 200.0, False, 3),
+            ("fig3e", None, 1e12, 50.0, True, 2),
+            ("fig2e", None, 1e9, 150.0, False, 0),
         ],
     )
     def test_call_counts(
@@ -150,10 +154,28 @@ class TestOneEvaluationPerPoint:
         )
         monkeypatch.setattr(sweep, "finite_key_terms", terms)
         monkeypatch.setattr(keyrate, "finite_key_terms", terms)
+        layers = (
+            (physics, "postselection_prob_closed"),
+            (fluctuation, "interval"),
+            (sweep, "attach_fluctuation"),
+            (sweep, "estimate_bounds"),
+            (sweep, "secure_key_capacity"),
+        )
+        for owner, name in layers:
+            calls[name] = 0
+            monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
         scenario = parse_config("", preset=preset).with_overrides(
             method=method, n_pulses=n_pulses
         )
         row = run_point(scenario, length)
+        roles = len(scenario.intensities.roles())
+        assert {name: calls.pop(name) for _, name in layers} == {
+            "postselection_prob_closed": roles,
+            "interval": roles,
+            "attach_fluctuation": 1,
+            "estimate_bounds": 1,
+            "secure_key_capacity": int(keyed),
+        }
         assert math.isfinite(row.delta_i) == keyed
         assert calls == {"applicable": checks, "terms": 1}
 
@@ -223,6 +245,24 @@ class TestMaxDistance:
             result = sweep_module.max_distance(fig2b, tol_km=0.5)
         assert 44.5 <= result <= 45.0
         assert any("not monotone" in record.message for record in caplog.records)
+
+    @pytest.mark.parametrize("preset, n_pulses", [("fig2b", 1e10), ("fig3e", None)])
+    def test_each_length_evaluated_once(self, monkeypatch, preset, n_pulses):
+        scenario = parse_config("", preset=preset).with_overrides(n_pulses=n_pulses)
+        lengths = []
+
+        def counted(asked, length):
+            lengths.append(length)
+            return run_point(asked, length)
+
+        monkeypatch.setattr(sweep, "run_point", counted)
+        result = max_distance(scenario)
+        first = sorted(lengths)
+        assert len(first) == len(set(first))
+        # Nothing is cached across searches: a second one asks again.
+        lengths.clear()
+        assert max_distance(scenario) == result
+        assert sorted(lengths) == first
 
     @pytest.mark.parametrize("tol_km", [0.0, -1.0, math.nan])
     def test_bad_tolerance_rejected(self, fig2b, tol_km):
