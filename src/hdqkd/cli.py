@@ -8,13 +8,12 @@ from __future__ import annotations
 
 import argparse
 import logging
-import math
 import sys
 
 from . import sweep
 from .errors import ConfigError, DomainError, HdqkdError
 from .fluctuation import METHODS
-from .scenario import PRESETS, Scenario, parse_config, preset_names
+from .scenario import PRESETS, Scenario, parse_config, parse_pulses, preset_names
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -41,18 +40,6 @@ def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _parse_pulses(text: str) -> float:
-    if text.lower() in ("inf", "infinity"):
-        return math.inf
-    try:
-        value = float(text)
-    except ValueError as exc:
-        raise ConfigError(f"--n-pulses: not a number: {text!r}") from exc
-    if not math.isfinite(value) or value <= 0:
-        raise ConfigError(f"--n-pulses: must be finite and > 0 (or inf), got {text}")
-    return value
-
-
 def _load_scenario(args: argparse.Namespace) -> Scenario:
     text = ""
     if args.config is not None:
@@ -62,7 +49,9 @@ def _load_scenario(args: argparse.Namespace) -> Scenario:
         except OSError as exc:
             raise ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
     scenario = parse_config(text, preset=args.preset)
-    pulses = None if args.n_pulses is None else _parse_pulses(args.n_pulses)
+    pulses = (
+        None if args.n_pulses is None else parse_pulses("--n-pulses", args.n_pulses)
+    )
     return scenario.with_overrides(method=args.method, n_pulses=pulses)
 
 
@@ -145,13 +134,6 @@ def build_parser() -> _Parser:
     sweep_cmd.add_argument("--l-min", type=float, default=0.0, metavar="KM")
     sweep_cmd.add_argument("--l-max", type=float, required=True, metavar="KM")
     sweep_cmd.add_argument("--step", type=float, default=5.0, metavar="KM")
-    sweep_cmd.add_argument(
-        "--parallel",
-        type=int,
-        default=1,
-        metavar="K",
-        help="accepted for compatibility; points are evaluated in one process",
-    )
     sweep_cmd.add_argument("--out", metavar="PATH")
     sweep_cmd.add_argument("--plotdata", metavar="PATH")
     sweep_cmd.set_defaults(handler=_cmd_sweep)

@@ -197,13 +197,6 @@ class IntensityStats:
         if self.phi_t < 0.0 or self.phi_w < 0.0:
             raise DomainError("average multipliers must be >= 0")
 
-    def phi(self, basis: str) -> float:
-        if basis == "t":
-            return self.phi_t
-        if basis == "w":
-            return self.phi_w
-        raise DomainError(f"unknown correlation basis {basis!r}")
-
 
 MeasuredStats = Mapping[str, IntensityStats]
 

@@ -3,20 +3,21 @@
 A scenario bundles the physical constants, the decoy intensities and
 selection probabilities, the basis probability, the failure budget, the
 fluctuation method, the pulse count (``inf`` allowed) and the security
-model.  Presets mirror the standard evaluation setups: 0.2 dB/km loss,
-93% detector efficiencies, 1 kHz dark counts, a 30 ps coherence time, a
-10 ps correlation-time change, symmetric basis choice, 1e-10 failure
-budgets, decoys at half the signal intensity (and a tenth of that for
-the weak decoy) and the mode's default selection ratios.
+model.  Unset ``[physical]`` and ``[epsilons]`` keys take the defaults of
+:class:`~hdqkd.physics.PhysicalParams` and
+:class:`~hdqkd.fluctuation.EpsilonBudget`.  The protocol defaults are
+symmetric basis choice, decoys at half the signal intensity (and a tenth
+of that for the weak decoy) and the mode's default selection ratios.
 
 Config files are plain ``key = value`` lines under ``[physical]``,
 ``[protocol]``, ``[epsilons]`` and ``[security_model]`` sections, with
-``#`` comments.  Unknown keys are rejected with their line number.
+``#`` comments.  Unknown keys are rejected with their line number, and so
+is a document value that does not convert.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from typing import TYPE_CHECKING
 
@@ -34,7 +35,14 @@ from .security import (
 if TYPE_CHECKING:
     from .montecarlo import SimConfig
 
-__all__ = ["Scenario", "PRESETS", "parse_config", "preset_names", "build_scenario"]
+__all__ = [
+    "Scenario",
+    "PRESETS",
+    "parse_config",
+    "parse_pulses",
+    "preset_names",
+    "build_scenario",
+]
 
 
 @dataclass(frozen=True)
@@ -147,16 +155,6 @@ def preset_names() -> list[str]:
 
 
 _DEFAULTS: dict[str, dict[str, str]] = {
-    "physical": {
-        "alpha": "0.2",
-        "eta_alice": "0.93",
-        "eta_bob": "0.93",
-        "r_dc": "1000",
-        "delta_j": "20e-12",
-        "delta_coh": "30e-12",
-        "schmidt_d": "8",
-        "delta_delta": "10e-12",
-    },
     "protocol": {
         "mode": TWO_DECOY,
         "mu": "0.10",
@@ -166,21 +164,29 @@ _DEFAULTS: dict[str, dict[str, str]] = {
         "beta": "0.9",
         "delta_phi": "0.0",
     },
-    "epsilons": {
-        "eps_pe": "1e-10",
-        "eps_ec": "1e-10",
-        "eps_bar": "1e-10",
-        "eps_pa": "1e-10",
-    },
     "security_model": {"model": "table"},
 }
 
-#: Keys a document may set: every defaulted key, plus the optional ones
-#: whose absence means a derived value (decoy intensities, selection
-#: ratios) or the pinned table.
-_SECTIONS = {section: set(keys) for section, keys in _DEFAULTS.items()}
+#: Sections that are one dataclass record each, with the noun that names
+#: the record in its cross-field errors.  Unset keys keep the field defaults.
+_RECORDS = {
+    "physical": (PhysicalParams, "parameters"),
+    "epsilons": (EpsilonBudget, "budget"),
+}
+
+#: Keys a document may set: every record field and defaulted key, plus the
+#: optional ones whose absence means a derived value (decoy intensities,
+#: selection ratios) or the pinned table.
+_SECTIONS = {sec: {f.name for f in fields(cls)} for sec, (cls, _) in _RECORDS.items()}
+_SECTIONS.update((section, set(keys)) for section, keys in _DEFAULTS.items())
 _SECTIONS["protocol"] |= {"v1", "v2", "ratios"}
 _SECTIONS["security_model"] |= {"table"}
+
+
+class _DocValue(str):
+    """A value read from a config document; ``lineno`` is its line."""
+
+    lineno: int
 
 
 def _parse_lines(text: str) -> dict[str, dict[str, str]]:
@@ -215,7 +221,9 @@ def _parse_lines(text: str) -> dict[str, dict[str, str]]:
             raise ConfigError(f"line {lineno}: empty value for {key!r}")
         if key in out.setdefault(section, {}):
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        out[section][key] = value
+        located = _DocValue(value)
+        located.lineno = lineno
+        out[section][key] = located
     return out
 
 
@@ -228,39 +236,71 @@ def _merge(
     return merged
 
 
-def _to_float(section: str, key: str, value: str) -> float:
+def _value_error(label: str, value: str, problem: str) -> ConfigError:
+    """``label: problem``, led by ``line N: `` if a document set ``value``."""
+    where = f"line {value.lineno}: " if isinstance(value, _DocValue) else ""
+    return ConfigError(f"{where}{label}: {problem}")
+
+
+def _to_float(label: str, value: str) -> float:
     try:
         number = float(value)
     except ValueError as exc:
-        raise ConfigError(f"[{section}] {key}: not a number: {value!r}") from exc
+        raise _value_error(label, value, f"not a number: {value!r}") from exc
     if not math.isfinite(number):
-        raise ConfigError(f"[{section}] {key}: must be finite, got {value!r}")
+        raise _value_error(label, value, f"must be finite, got {value!r}")
     return number
 
 
-def _to_int(section: str, key: str, value: str) -> int:
+def _to_int(label: str, value: str) -> int:
     try:
         return int(value)
     except ValueError as exc:
-        raise ConfigError(f"[{section}] {key}: not an integer: {value!r}") from exc
+        raise _value_error(label, value, f"not an integer: {value!r}") from exc
+
+
+def parse_pulses(label: str, value: str) -> float:
+    """A pulse count: ``inf`` or ``infinity`` in any case, or a finite number > 0.
+
+    ``label`` names the value in error messages, e.g. ``[protocol] n_pulses``
+    or ``--n-pulses``.
+    """
+    if value.lower() in ("inf", "infinity"):
+        return math.inf
+    number = _to_float(label, value)
+    if number <= 0.0:
+        raise _value_error(label, value, f"must be > 0 (or inf), got {value!r}")
+    return number
+
+
+def _record(section: str, raw: dict[str, str]) -> PhysicalParams | EpsilonBudget:
+    """Build a record section from the keys set in ``raw``."""
+    cls, noun = _RECORDS[section]
+    kwargs = {}
+    for field in fields(cls):
+        if field.name in raw:
+            convert = _to_int if field.type in (int, "int") else _to_float
+            kwargs[field.name] = convert(f"[{section}] {field.name}", raw[field.name])
+    try:
+        return cls(**kwargs)
+    except DomainError as exc:
+        raise ConfigError(f"[{section}] invalid {noun}: {exc}") from exc
 
 
 def _parse_ratios(value: str, mode: str) -> tuple[float, float]:
+    label = "[protocol] ratios"
     parts = value.split(":")
     expected = 3 if mode == TWO_DECOY else 2
     if len(parts) != expected:
-        raise ConfigError(
-            f"[protocol] ratios: {mode} mode needs {expected} colon-separated "
-            f"weights, got {value!r}"
-        )
+        problem = f"{mode} mode needs {expected} colon-separated weights, got {value!r}"
+        raise _value_error(label, value, problem)
     try:
         weights = [float(p) for p in parts]
     except ValueError as exc:
-        raise ConfigError(f"[protocol] ratios: not numbers: {value!r}") from exc
+        raise _value_error(label, value, f"not numbers: {value!r}") from exc
     if not all(math.isfinite(w) and w > 0 for w in weights):
-        raise ConfigError(
-            f"[protocol] ratios: weights must be finite and > 0, got {value!r}"
-        )
+        problem = f"weights must be finite and > 0, got {value!r}"
+        raise _value_error(label, value, problem)
     total = sum(weights)
     return weights[0] / total, weights[1] / total
 
@@ -268,64 +308,40 @@ def _parse_ratios(value: str, mode: str) -> tuple[float, float]:
 def build_scenario(
     values: dict[str, dict[str, str]], name: str = "custom"
 ) -> Scenario:
-    """Build and validate a scenario from merged string values."""
-    phys_raw = values["physical"]
-    try:
-        phys = PhysicalParams(
-            alpha=_to_float("physical", "alpha", phys_raw["alpha"]),
-            eta_alice=_to_float("physical", "eta_alice", phys_raw["eta_alice"]),
-            eta_bob=_to_float("physical", "eta_bob", phys_raw["eta_bob"]),
-            r_dc=_to_float("physical", "r_dc", phys_raw["r_dc"]),
-            delta_j=_to_float("physical", "delta_j", phys_raw["delta_j"]),
-            delta_coh=_to_float("physical", "delta_coh", phys_raw["delta_coh"]),
-            schmidt_d=_to_int("physical", "schmidt_d", phys_raw["schmidt_d"]),
-            delta_delta=_to_float("physical", "delta_delta", phys_raw["delta_delta"]),
-        )
-    except DomainError as exc:
-        raise ConfigError(f"[physical] invalid parameters: {exc}") from exc
+    """Build and validate a scenario from merged string values.
+
+    Unset ``[physical]`` and ``[epsilons]`` keys keep the dataclass defaults.
+    """
+    phys = _record("physical", values.get("physical", {}))
 
     proto = values["protocol"]
     mode = proto["mode"]
     if mode not in (TWO_DECOY, SINGLE_DECOY):
-        raise ConfigError(
-            f"[protocol] mode: expected '{TWO_DECOY}' or '{SINGLE_DECOY}', "
-            f"got {mode!r}"
-        )
-    mu = _to_float("protocol", "mu", proto["mu"])
-    v1 = _to_float("protocol", "v1", proto["v1"]) if "v1" in proto else mu / 2.0
+        problem = f"expected '{TWO_DECOY}' or '{SINGLE_DECOY}', got {mode!r}"
+        raise _value_error("[protocol] mode", mode, problem)
+    mu = _to_float("[protocol] mu", proto["mu"])
+    v1 = _to_float("[protocol] v1", proto["v1"]) if "v1" in proto else mu / 2.0
     ratios = proto.get("ratios", "7:2:1" if mode == TWO_DECOY else "4:1")
     p_mu, p_v1 = _parse_ratios(ratios, mode)
     try:
         if mode == TWO_DECOY:
-            v2 = _to_float("protocol", "v2", proto["v2"]) if "v2" in proto else v1 / 10.0
+            v2 = _to_float("[protocol] v2", proto["v2"]) if "v2" in proto else v1 / 10.0
             intensities = IntensityConfig.two_decoy(mu, v1, v2, p_mu, p_v1)
         else:
             if "v2" in proto:
-                raise ConfigError("[protocol] v2: not allowed in single-decoy mode")
+                raise _value_error(
+                    "[protocol] v2", proto["v2"], "not allowed in single-decoy mode"
+                )
             intensities = IntensityConfig.single_decoy(mu, v1, p_mu, p_v1)
     except DomainError as exc:
         raise ConfigError(f"[protocol] invalid intensities: {exc}") from exc
 
-    n_raw = proto["n_pulses"].lower()
-    n_pulses = math.inf if n_raw in ("inf", "infinity") else _to_float(
-        "protocol", "n_pulses", n_raw
-    )
-
-    eps = values["epsilons"]
-    try:
-        budget = EpsilonBudget(
-            eps_pe=_to_float("epsilons", "eps_pe", eps["eps_pe"]),
-            eps_ec=_to_float("epsilons", "eps_ec", eps["eps_ec"]),
-            eps_bar=_to_float("epsilons", "eps_bar", eps["eps_bar"]),
-            eps_pa=_to_float("epsilons", "eps_pa", eps["eps_pa"]),
-        )
-    except DomainError as exc:
-        raise ConfigError(f"[epsilons] invalid budget: {exc}") from exc
+    n_pulses = parse_pulses("[protocol] n_pulses", proto["n_pulses"])
+    budget = _record("epsilons", values.get("epsilons", {}))
 
     sec = values["security_model"]
-    model_kind = sec["model"]
+    model_kind, table_path = sec["model"], sec.get("table")
     if model_kind == "table":
-        table_path = sec.get("table")
         try:
             if table_path is None:
                 model: SecurityModel = load_pinned_table()
@@ -334,33 +350,29 @@ def build_scenario(
                 model = TableSecurityModel.from_file(table_path)
                 ref = f"table:{table_path}"
         except OSError as exc:
-            raise ConfigError(
-                f"[security_model] table: cannot read {table_path!r}: {exc}"
-            ) from exc
+            problem = f"cannot read {table_path!r}: {exc}"
+            raise _value_error("[security_model] table", table_path, problem) from exc
         except SecurityModelError as exc:
-            raise ConfigError(f"[security_model] table: {exc}") from exc
+            raise _value_error("[security_model] table", table_path, str(exc)) from exc
     elif model_kind == "gaussian":
-        if "table" in sec:
-            raise ConfigError(
-                "[security_model] table: not allowed with model = gaussian"
-            )
+        if table_path is not None:
+            problem = "not allowed with model = gaussian"
+            raise _value_error("[security_model] table", table_path, problem)
         model = GaussianSecurityModel()
         ref = "gaussian"
     else:
-        raise ConfigError(
-            f"[security_model] model: expected 'table' or 'gaussian', "
-            f"got {model_kind!r}"
-        )
+        problem = f"expected 'table' or 'gaussian', got {model_kind!r}"
+        raise _value_error("[security_model] model", model_kind, problem)
 
     return Scenario(
         phys=phys,
         intensities=intensities,
-        p_t=_to_float("protocol", "p_t", proto["p_t"]),
+        p_t=_to_float("[protocol] p_t", proto["p_t"]),
         budget=budget,
-        method=proto["method"],
+        method=str(proto["method"]),
         n_pulses=n_pulses,
-        beta=_to_float("protocol", "beta", proto["beta"]),
-        delta_phi=_to_float("protocol", "delta_phi", proto["delta_phi"]),
+        beta=_to_float("[protocol] beta", proto["beta"]),
+        delta_phi=_to_float("[protocol] delta_phi", proto["delta_phi"]),
         security_model=model,
         security_ref=ref,
         name=name,

@@ -343,7 +343,7 @@ def test_criterion_7_finite_key_term_spot_checks():
 
 def test_criterion_8_deterministic_csv(tmp_path):
     outputs = []
-    for name, parallel in (("r1.csv", "1"), ("r2.csv", "1"), ("r3.csv", "2")):
+    for name in ("r1.csv", "r2.csv", "r3.csv"):
         out = tmp_path / name
         result = subprocess.run(
             [
@@ -359,8 +359,6 @@ def test_criterion_8_deterministic_csv(tmp_path):
                 "60",
                 "--step",
                 "20",
-                "--parallel",
-                parallel,
                 "--out",
                 str(out),
             ],

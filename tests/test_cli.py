@@ -6,6 +6,8 @@ import sys
 
 import pytest
 
+from hdqkd.cli import main
+
 CLI = [sys.executable, "-m", "hdqkd.cli"]
 
 
@@ -167,6 +169,24 @@ class TestExitCodes:
         assert "--method" in result.stderr and "'exact'" in result.stderr
         assert result.stdout == ""
 
+    @pytest.mark.parametrize(
+        "spelling",
+        ["inf", "INF", "Infinity", "1e10", "2.5e3", "1e400", "0", "-1", "nan",
+         "+inf", "-inf", "abc", "1_000", " 1e9"],
+    )
+    def test_one_pulse_count_rule(self, tmp_path, capsys, spelling):
+        # The flag and the document key give one verdict.  In process, as
+        # 28 subprocesses would take seconds.
+        config = tmp_path / "scenario.cfg"
+        config.write_text(f"[protocol]\nn_pulses = {spelling}\n")
+        verdicts = []
+        for source in (f"--n-pulses={spelling}", f"--config={config}"):
+            code = main(["point", "--preset", "fig2b", "--length", "10", source])
+            out, err = capsys.readouterr()
+            assert code == 0 or (code == 1 and err.startswith("config error:")), err
+            verdicts.append((code, out))
+        assert verdicts[0] == verdicts[1]
+
     def test_io_error(self):
         result = run_cli(
             "point",
@@ -183,7 +203,7 @@ class TestExitCodes:
 class TestSweepCommand:
     def test_deterministic_across_runs_and_parallelism(self, tmp_path):
         outs = []
-        for name, parallel in (("a.csv", "1"), ("b.csv", "1"), ("c.csv", "2")):
+        for name in ("a.csv", "b.csv", "c.csv"):
             out = tmp_path / name
             result = run_cli(
                 "sweep",
@@ -195,14 +215,20 @@ class TestSweepCommand:
                 "40",
                 "--step",
                 "20",
-                "--parallel",
-                parallel,
                 "--out",
                 str(out),
             )
             assert result.returncode == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1] == outs[2]
+
+    def test_parallel_is_not_an_option(self):
+        result = run_cli(
+            "sweep", "--preset", "fig2b", "--l-max", "10", "--parallel", "2"
+        )
+        assert result.returncode == 1
+        assert result.stderr.startswith("config error:")
+        assert "Traceback" not in result.stderr
 
     def test_plotdata(self, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -14,7 +14,8 @@ import pytest
 import hdqkd
 import hdqkd.montecarlo
 from hdqkd.cli import build_parser
-from hdqkd.fluctuation import METHODS
+from hdqkd.fluctuation import METHODS, EpsilonBudget
+from hdqkd.physics import PhysicalParams
 from hdqkd.scenario import _SECTIONS, parse_config
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -87,11 +88,14 @@ def test_method_lists_match_fluctuation_methods():
 
 
 def test_readme_config_block_is_the_accepted_key_set():
-    # The documented block parses, and its keys (the commented-out table
-    # path included) are exactly the keys a document may set.
+    # The documented block parses, its keys (the commented-out table path
+    # included) are exactly the keys a document may set, and its physical
+    # and epsilon values are the dataclass defaults.
     text = README.read_text(encoding="utf-8")
     (block,) = re.findall(r"```ini\n(.*?)```", text, re.DOTALL)
-    parse_config(block)
+    scenario = parse_config(block)
+    assert scenario.phys == PhysicalParams()
+    assert scenario.budget == EpsilonBudget()
     keys: dict[str, set[str]] = {}
     for line in block.splitlines():
         if header := re.fullmatch(r"\[(\w+)\]", line):

@@ -159,6 +159,32 @@ class TestParsing:
             parse_config(text)
         assert key in str(err.value)
 
+    @pytest.mark.parametrize(
+        "body, start",
+        [
+            ("[physical]\nalpha = x", "line 4: [physical] alpha: not a number"),
+            ("[protocol]\nmu = nan", "line 4: [protocol] mu: must be finite"),
+            ("[physical]\nschmidt_d = 8.5", "line 4: [physical] schmidt_d: not an"),
+            ("[epsilons]\neps_pa = inf", "line 4: [epsilons] eps_pa: must be finite"),
+            ("[protocol]\nn_pulses = 0", "line 4: [protocol] n_pulses: must be > 0"),
+            ("[protocol]\nratios = 1:2", "line 4: [protocol] ratios: two-decoy mode"),
+            ("[protocol]\nratios = a:b:c", "line 4: [protocol] ratios: not numbers"),
+            ("[protocol]\nratios = 0:1:1", "line 4: [protocol] ratios: weights must"),
+            ("[protocol]\nmode = x", "line 4: [protocol] mode: expected"),
+            ("[protocol]\nmode = single-decoy\nv2 = 0.01", "line 5: [protocol] v2"),
+            ("[security_model]\nmodel = x", "line 4: [security_model] model"),
+            ("[security_model]\ntable = /no/such", "line 4: [security_model] table: "),
+            (
+                "[security_model]\nmodel = gaussian\ntable = x",
+                "line 5: [security_model] table: not allowed",
+            ),
+        ],
+    )
+    def test_value_errors_name_their_line(self, body, start):
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"# a scenario\n\n{body}\n", preset="fig2b")
+        assert str(err.value).startswith(start)
+
     @pytest.mark.parametrize("weights", ["nan:1:1", "inf:1:1", "1:nan:1", "1:1:inf"])
     def test_non_finite_ratio_named(self, weights):
         with pytest.raises(ConfigError, match=r"\[protocol\] ratios"):
