@@ -2,11 +2,12 @@
 
 Given fluctuation-adjusted postselection probabilities for the signal
 and decoy intensities, these functions bound the vacuum yield, the
-single-pair yield, the single-pair fraction of the postselected signal
-events and the excess-noise factors.  One estimator serves single- and
-two-decoy operation: each bound iterates the intensities of an
-:class:`IntensityConfig`, the one place where the decoy mode is decided
-and the intensity ordering checked.  Lower bounds are computed from the
+single-pair fraction of the postselected signal events and the
+excess-noise factors; the single-pair yield follows from the fraction
+bound.  One estimator serves single- and two-decoy operation: each bound
+iterates the intensities of an :class:`IntensityConfig`, the one place
+where the decoy mode is decided and the intensity ordering checked, and
+no bound depends on the mode.  Lower bounds are computed from the
 pessimistic ends of the intervals, upper bounds from the optimistic
 ends, so every bound stays conservative as the intervals widen.
 
@@ -40,7 +41,6 @@ __all__ = [
     "multiplier_forward",
     "expected_stats",
     "vacuum_yield_bounds",
-    "single_pair_yield_lower",
     "single_pair_fraction_lower",
     "excess_noise_upper",
     "attach_fluctuation",
@@ -308,30 +308,6 @@ def vacuum_yield_bounds(
     return VacuumYieldBounds(lower=lower, upper=upper)
 
 
-def single_pair_yield_lower(
-    stats: MeasuredStats, intensities: IntensityConfig, gamma0_lb: float
-) -> float:
-    """Lower-bound the single-pair yield from both decoy intensities.
-
-    Uses the pessimistic end for the stronger decoy, the optimistic end
-    for the weaker decoy and the signal, and the vacuum-yield lower bound
-    (whose sign makes it the conservative choice here).  Needs two
-    decoys; with one, :func:`estimate_bounds` derives the yield from the
-    fraction bound.
-    """
-    if intensities.mode != TWO_DECOY:
-        raise DomainError("the single-pair yield bound needs two decoys")
-    (_r, mu, _p), (r1, v1, _p1), (r2, v2, _p2) = intensities.roles()
-    den = mu * v1 - mu * v2 - v1 * v1 + v2 * v2
-    value = (mu / den) * (
-        stats[r1].p_minus * math.exp(v1)
-        - stats[r2].p_plus * math.exp(v2)
-        - ((v1 * v1 - v2 * v2) / (mu * mu))
-        * (stats["mu"].p_plus * math.exp(mu) - gamma0_lb)
-    )
-    return _clamp01(value)
-
-
 def single_pair_fraction_lower(
     stats: MeasuredStats, intensities: IntensityConfig, gamma0: VacuumYieldBounds
 ) -> float:
@@ -465,25 +441,21 @@ def estimate_bounds(
 ) -> DecoyBounds:
     """Run the full estimation chain for one channel point.
 
-    Composes the vacuum-yield, single-pair-yield, single-pair-fraction
-    and excess-noise bounds.  Only the single-pair yield depends on the
-    decoy mode: with one decoy it is implied by the fraction bound.  "No key"
-    shows in the result as a zero fraction bound or infinite noise
-    bounds, so sweep drivers can emit an explicit no-key row.
+    Composes the vacuum-yield, single-pair-fraction and excess-noise
+    bounds; no bound depends on the decoy mode.  The single-pair yield is
+    the fraction bound times P_mu e^mu / mu (K = mu e^{-mu} gamma_1 / P_mu),
+    which turns each route into a bound on gamma_1.  "No key" shows in the
+    result as a zero fraction bound or infinite noise bounds, so sweep
+    drivers can emit an explicit no-key row.
     """
     g0 = vacuum_yield_bounds(stats, intensities, p_d)
     kmu_lb = single_pair_fraction_lower(stats, intensities, g0)
-    if intensities.mode == TWO_DECOY:
-        gamma1_lb = single_pair_yield_lower(stats, intensities, g0.lower)
-    else:
-        # Implied by the fraction bound: K = mu e^{-mu} gamma_1 / P_mu.
-        mu = intensities.mu
-        gamma1_lb = _clamp01(kmu_lb * stats["mu"].p_plus * math.exp(mu) / mu)
     zeta_t_ub, zeta_w_ub = excess_noise_upper(stats, intensities, kmu_lb)
+    mu = intensities.mu
     return DecoyBounds(
         gamma0_lb=g0.lower,
         gamma0_ub=g0.upper,
-        gamma1_lb=gamma1_lb,
+        gamma1_lb=_clamp01(kmu_lb * stats["mu"].p_plus * math.exp(mu) / mu),
         kmu_lb=kmu_lb,
         zeta_t_ub=zeta_t_ub,
         zeta_w_ub=zeta_w_ub,

@@ -188,7 +188,7 @@ def _chernoff_widths(
             "(eps_pe/3)^4 underflows to 0"
         )
     scale = 2.0 * p_center / n_frames
-    delta_plus = math.sqrt(scale * math.log(16.0 / eps**4))
+    delta_plus = math.sqrt(scale * (math.log(16.0) - 4.0 * math.log(eps)))
     delta_minus = math.sqrt(scale * 1.5 * math.log(1.0 / eps))
     return (delta_plus, delta_minus)
 

@@ -12,7 +12,7 @@ of that for the weak decoy) and the mode's default selection ratios.
 Config files are plain ``key = value`` lines under ``[physical]``,
 ``[protocol]``, ``[epsilons]`` and ``[security_model]`` sections, with
 ``#`` comments.  Unknown keys are rejected with their line number, and so
-is a document value that does not convert.
+is a document value that does not convert or is out of range.
 """
 from __future__ import annotations
 
@@ -236,10 +236,23 @@ def _merge(
     return merged
 
 
+def _where(value: str | None) -> str:
+    """``line N: `` if a document set ``value``, else nothing."""
+    return f"line {value.lineno}: " if isinstance(value, _DocValue) else ""
+
+
 def _value_error(label: str, value: str, problem: str) -> ConfigError:
     """``label: problem``, led by ``line N: `` if a document set ``value``."""
-    where = f"line {value.lineno}: " if isinstance(value, _DocValue) else ""
-    return ConfigError(f"{where}{label}: {problem}")
+    return ConfigError(f"{_where(value)}{label}: {problem}")
+
+
+def _field_error(section: dict[str, str], lead: str, exc: Exception) -> ConfigError:
+    """``lead`` and ``exc``'s message, led by ``line N: `` if the message opens
+    with a field of ``section`` (after an optional ``[section]``) that the
+    document set.  A relation between fields opens with no field name."""
+    words = str(exc).split()
+    name = words[1] if words[0].startswith("[") else words[0]
+    return ConfigError(f"{_where(section.get(name))}{lead}{exc}")
 
 
 def _to_float(label: str, value: str) -> float:
@@ -284,7 +297,7 @@ def _record(section: str, raw: dict[str, str]) -> PhysicalParams | EpsilonBudget
     try:
         return cls(**kwargs)
     except DomainError as exc:
-        raise ConfigError(f"[{section}] invalid {noun}: {exc}") from exc
+        raise _field_error(raw, f"[{section}] invalid {noun}: ", exc) from exc
 
 
 def _parse_ratios(value: str, mode: str) -> tuple[float, float]:
@@ -334,7 +347,7 @@ def build_scenario(
                 )
             intensities = IntensityConfig.single_decoy(mu, v1, p_mu, p_v1)
     except DomainError as exc:
-        raise ConfigError(f"[protocol] invalid intensities: {exc}") from exc
+        raise _field_error(proto, "[protocol] invalid intensities: ", exc) from exc
 
     n_pulses = parse_pulses("[protocol] n_pulses", proto["n_pulses"])
     budget = _record("epsilons", values.get("epsilons", {}))
@@ -364,19 +377,25 @@ def build_scenario(
         problem = f"expected 'table' or 'gaussian', got {model_kind!r}"
         raise _value_error("[security_model] model", model_kind, problem)
 
-    return Scenario(
-        phys=phys,
-        intensities=intensities,
-        p_t=_to_float("[protocol] p_t", proto["p_t"]),
-        budget=budget,
-        method=str(proto["method"]),
-        n_pulses=n_pulses,
-        beta=_to_float("[protocol] beta", proto["beta"]),
-        delta_phi=_to_float("[protocol] delta_phi", proto["delta_phi"]),
-        security_model=model,
-        security_ref=ref,
-        name=name,
+    p_t, beta, delta_phi = (
+        _to_float(f"[protocol] {k}", proto[k]) for k in ("p_t", "beta", "delta_phi")
     )
+    try:
+        return Scenario(
+            phys=phys,
+            intensities=intensities,
+            p_t=p_t,
+            budget=budget,
+            method=str(proto["method"]),
+            n_pulses=n_pulses,
+            beta=beta,
+            delta_phi=delta_phi,
+            security_model=model,
+            security_ref=ref,
+            name=name,
+        )
+    except ConfigError as exc:
+        raise _field_error(proto, "", exc) from exc
 
 
 def parse_config(text: str, preset: str | None = None) -> Scenario:

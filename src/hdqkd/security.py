@@ -158,10 +158,11 @@ class TableSecurityModel:
     """Deterministic security quantities interpolated from a grid.
 
     The file format is one ``d zeta_t zeta_w i_ab phi_ub`` record per
-    line, whitespace-separated, with ``#`` comments.  Each dimension must
-    carry a complete rectangular (zeta_t, zeta_w) grid; duplicates are
-    rejected.  Queries interpolate bilinearly in the noise factors,
-    return grid values verbatim on the nodes, and refuse extrapolation.
+    line, whitespace-separated, with ``#`` comments; every value must be
+    finite.  Each dimension must carry a complete rectangular (zeta_t,
+    zeta_w) grid; duplicates are rejected.  Queries interpolate
+    bilinearly in the noise factors, return grid values verbatim on the
+    nodes, and refuse extrapolation.
     """
 
     def __init__(self, rows: Iterable[tuple[int, float, float, float, float]]):
@@ -205,6 +206,11 @@ class TableSecurityModel:
                 values = [float(f) for f in fields[1:]]
             except ValueError as exc:
                 raise SecurityModelError(f"line {lineno}: {exc}") from exc
+            for name, value in zip(("zeta_t", "zeta_w", "i_ab", "phi_ub"), values):
+                if not math.isfinite(value):
+                    raise SecurityModelError(
+                        f"line {lineno}: {name} must be finite, got {value}"
+                    )
             rows.append((d, values[0], values[1], values[2], values[3]))
         return cls(rows)
 

@@ -20,7 +20,6 @@ from hdqkd.decoy import (
     expected_stats,
     multiplier_forward,
     single_pair_fraction_lower,
-    single_pair_yield_lower,
     vacuum_yield_bounds,
 )
 from hdqkd.errors import DomainError
@@ -192,54 +191,6 @@ class TestVacuumYieldBounds:
         assert bounds.lower == bounds.upper == 1e-7
 
 
-class TestSinglePairYieldLower:
-    def test_sound_at_zero_fluctuation(self, default_phys):
-        frame = replace(FrameParams.from_physical(default_phys), p_d=0.0)
-        stats = exact_stats(TWO, default_phys, frame, 0.0)
-        gamma1_true = 0.93 * 0.93
-        bound = single_pair_yield_lower(stats, TWO, 0.0)
-        assert 0.0 < bound <= gamma1_true
-
-    def test_all_dark_channel(self):
-        stats = {
-            role: IntensityStats(0.0, 0.0, 0.0, 0.0, 0.0)
-            for role in ("mu", "v1", "v2")
-        }
-        assert single_pair_yield_lower(stats, TWO, 0.0) == 0.0
-
-    def test_monotone_in_fluctuation_width(self, default_phys, default_frame):
-        stats = exact_stats(TWO, default_phys, default_frame, 25.0)
-        prev = single_pair_yield_lower(stats, TWO, 0.0)
-        for width in (1e-6, 1e-5, 1e-4, 1e-3, 1e-2):
-            wide = widen_all(stats, width, width)
-            bound = single_pair_yield_lower(wide, TWO, 0.0)
-            assert bound <= prev + 1e-15
-            prev = bound
-        assert prev == 0.0  # eventually clamps
-
-    def test_needs_two_decoys(self, default_phys, default_frame):
-        stats = exact_stats(SINGLE, default_phys, default_frame, 0.0)
-        with pytest.raises(DomainError, match="two decoys"):
-            single_pair_yield_lower(stats, SINGLE, 0.0)
-
-    def test_oracle_two_decoy_expression(self, default_phys, default_frame):
-        stats = exact_stats(TWO, default_phys, default_frame, 30.0)
-        g0 = vacuum_yield_bounds(stats, TWO, default_frame.p_d)
-        bound = single_pair_yield_lower(stats, TWO, g0.lower)
-        mu, v1, v2 = (mp.mpf(x) for x in (TWO.mu, TWO.v1, TWO.v2))
-        p = {r: mp.mpf(stats[r].p_post) for r in ("mu", "v1", "v2")}
-        oracle = (
-            mu
-            / (mu * v1 - mu * v2 - v1**2 + v2**2)
-            * (
-                p["v1"] * mp.e**v1
-                - p["v2"] * mp.e**v2
-                - (v1**2 - v2**2) / mu**2 * (p["mu"] * mp.e**mu - mp.mpf(g0.lower))
-            )
-        )
-        assert bound == pytest.approx(float(oracle), rel=1e-12)
-
-
 class TestSinglePairFraction:
     def test_two_decoy_sound(self, default_phys, default_frame):
         for length in (0.0, 50.0, 120.0):
@@ -306,6 +257,53 @@ class TestSinglePairFraction:
             )
         )
         assert bound == pytest.approx(float(oracle), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "length, binding", [(30.0, "direct v2"), (150.0, "pair")]
+    )
+    def test_oracle_two_decoy_routes(
+        self, default_phys, default_frame, length, binding
+    ):
+        # The pair route in its single-pair-yield form, times mu e^{-mu}/P_mu,
+        # and both direct routes; kmu_lb is their maximum and gamma1_lb that
+        # maximum times P_mu e^mu / mu.
+        stats = exact_stats(TWO, default_phys, default_frame, length)
+        g0 = vacuum_yield_bounds(stats, TWO, default_frame.p_d)
+        bounds = estimate_bounds(stats, TWO, default_frame.p_d)
+        mu, v1, v2 = (mp.mpf(x) for x in (TWO.mu, TWO.v1, TWO.v2))
+        p = {r: mp.mpf(stats[r].p_post) for r in ("mu", "v1", "v2")}
+        gamma1_pair = (
+            mu
+            / (mu * v1 - mu * v2 - v1**2 + v2**2)
+            * (
+                p["v1"] * mp.e**v1
+                - p["v2"] * mp.e**v2
+                - (v1**2 - v2**2) / mu**2 * (p["mu"] * mp.e**mu - mp.mpf(g0.lower))
+            )
+        )
+        g0ub = mp.mpf(g0.upper)
+
+        def direct(lam, p_lam):
+            return (
+                mu**2
+                / (mu * lam - lam**2)
+                * (
+                    p_lam / p["mu"] * mp.e ** (lam - mu)
+                    - lam**2 / mu**2
+                    - (mu**2 - lam**2) / mu**2 * g0ub * mp.e ** (-mu) / p["mu"]
+                )
+            )
+
+        routes = {
+            "pair": gamma1_pair * mu * mp.e ** (-mu) / p["mu"],
+            "direct v1": direct(v1, p["v1"]),
+            "direct v2": direct(v2, p["v2"]),
+        }
+        oracle = max(routes.values())
+        assert routes[binding] == oracle
+        assert bounds.kmu_lb == pytest.approx(float(oracle), rel=1e-12)
+        gamma1 = oracle * p["mu"] * mp.e**mu / mu
+        assert bounds.gamma1_lb == pytest.approx(float(gamma1), rel=1e-12)
 
 
 class TestExcessNoiseUpper:
@@ -405,8 +403,8 @@ class TestExcessNoiseUpper:
 
 class TestWiderIntervalsNeverHelp:
     def test_every_preset_at_1e10_pulses(self):
-        # Widening every interval never raises kmu_lb and never lowers
-        # either excess-noise bound: 17 presets x 31 lengths x 8 widths.
+        # Widening every interval never raises kmu_lb or gamma1_lb and never
+        # lowers either excess-noise bound: 17 presets x 31 lengths x 8 widths.
         for name in preset_names():
             s = parse_config("", preset=name).with_overrides(n_pulses=1e10)
             for length in range(0, 301, 10):
@@ -427,6 +425,7 @@ class TestWiderIntervalsNeverHelp:
                     wide = widen_all(stats, width, width)
                     b = estimate_bounds(wide, s.intensities, s.frame.p_d)
                     assert b.kmu_lb <= prev.kmu_lb, (name, length, width)
+                    assert b.gamma1_lb <= prev.gamma1_lb, (name, length, width)
                     assert b.zeta_t_ub >= prev.zeta_t_ub, (name, length, width)
                     assert b.zeta_w_ub >= prev.zeta_w_ub, (name, length, width)
                     prev = b
@@ -447,6 +446,15 @@ class TestEstimateBounds:
         assert not bounds.no_key
         assert bounds.gamma0_ub == default_frame.p_d
         assert 0.0 < bounds.gamma1_lb <= 1.0
+
+    @pytest.mark.parametrize("cfg", [TWO, SINGLE], ids=["two", "single"])
+    def test_all_dark_channel(self, cfg):
+        stats = {
+            role: IntensityStats(0.0, 0.0, 0.0, 0.0, 0.0) for role, _, _ in cfg.roles()
+        }
+        bounds = estimate_bounds(stats, cfg, 0.0)
+        assert bounds.gamma1_lb == 0.0
+        assert bounds.no_key
 
     def test_dead_stats_fold_into_no_key(self, default_phys, default_frame):
         stats = exact_stats(TWO, default_phys, default_frame, 0.0)

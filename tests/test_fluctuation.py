@@ -88,6 +88,14 @@ class TestChernoff:
     def test_infinite_frames(self):
         assert chernoff_deltas(0.3, math.inf, 1e-10) == (0.0, 0.0)
 
+    def test_upper_width_finite_where_16_over_eps4_overflows(self):
+        # 16 / (eps/3)^4 overflows a float at eps = 1e-78; its log does not.
+        plus, _ = chernoff_deltas(0.1, 1e10, 1e-78)
+        eps = mp.mpf("1e-78") / 3
+        oracle = mp.sqrt(2 * mp.mpf("0.1") / mp.mpf(1e10) * mp.log(16 / eps**4))
+        assert math.isfinite(plus)
+        assert plus == pytest.approx(float(oracle), rel=1e-12)
+
     @given(eps=st.floats(1e-14, 0.999), p=st.floats(1e-6, 1.0), n=st.floats(1e3, 1e15))
     @settings(max_examples=300)
     def test_asymmetry_ratio(self, eps, p, n):

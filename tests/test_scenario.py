@@ -178,6 +178,13 @@ class TestParsing:
                 "[security_model]\nmodel = gaussian\ntable = x",
                 "line 5: [security_model] table: not allowed",
             ),
+            ("[protocol]\nmu = 710", "line 4: [protocol] invalid intensities: mu "),
+            (
+                "[physical]\neta_alice = 1.5",
+                "line 4: [physical] invalid parameters: eta_alice must lie in",
+            ),
+            ("[protocol]\nmethod = bogus", "line 4: [protocol] method must be"),
+            ("[protocol]\np_t = 1.5", "line 4: p_t must lie in (0, 1), got 1.5"),
         ],
     )
     def test_value_errors_name_their_line(self, body, start):

@@ -73,6 +73,11 @@ class TestTableModel:
     def test_malformed_line(self):
         with pytest.raises(SecurityModelError, match="line"):
             TableSecurityModel.from_text("8 0.0 0.0 3.0\n")
+        # A nan phi_ub, or a node at infinity that _bracket would read as 0.
+        bad_rows = {"8 0.0 0.1 2.9 nan": "phi_ub", "8 0.0 inf 2.9 0.2": "zeta_w"}
+        for row, name in bad_rows.items():
+            with pytest.raises(SecurityModelError, match=f"line 2: {name} must be"):
+                TableSecurityModel.from_text(f"8 0.0 0.0 3.0 0.0\n{row}\n")
 
     def test_negative_query_rejected(self):
         bad = [(-0.01, 0.0), (math.nan, 0.0), (0.0, math.nan)]
