@@ -5,9 +5,9 @@ analytic detection model, :mod:`hdqkd.fluctuation` the failure budget
 and concentration intervals, :mod:`hdqkd.decoy` the decoy-state
 parameter-estimation bounds, :mod:`hdqkd.security` the pluggable
 security models, :mod:`hdqkd.keyrate` the capacity assembly,
-:mod:`hdqkd.montecarlo` the frame-level simulation oracle, and
-:mod:`hdqkd.scenario`/:mod:`hdqkd.sweep`/:mod:`hdqkd.cli` the
-configuration, sweep and command-line layers.
+:mod:`hdqkd.scenario`/:mod:`hdqkd.sweep` the configuration and sweep
+layers, :mod:`hdqkd.montecarlo` the frame-level simulation oracle of a
+scenario's sessions, and :mod:`hdqkd.cli` the command line.
 """
 
 from .decoy import (

@@ -6,10 +6,11 @@ single-pair fraction of the postselected signal events and the
 excess-noise factors; the single-pair yield follows from the fraction
 bound.  One estimator serves single- and two-decoy operation: each bound
 iterates the intensities of an :class:`IntensityConfig`, the one place
-where the decoy mode is decided and the intensity ordering checked, and
-no bound depends on the mode.  Lower bounds are computed from the
-pessimistic ends of the intervals, upper bounds from the optimistic
-ends, so every bound stays conservative as the intervals widen.
+where the intensity ordering and the selection probabilities are
+checked, and no bound depends on the number of decoys.  Lower bounds are
+computed from the pessimistic ends of the intervals, upper bounds from
+the optimistic ends, so every bound stays conservative as the intervals
+widen.
 
 Probability-like bounds clamp to [0, 1].  Excess-noise bounds clamp
 below at 0 and are reported as "no key", both infinite, once either
@@ -31,8 +32,6 @@ from .fluctuation import ChernoffApplicability
 from .physics import ChannelPoint, FrameParams, PhysicalParams
 
 __all__ = [
-    "TWO_DECOY",
-    "SINGLE_DECOY",
     "EXCESS_NOISE_CAP",
     "IntensityConfig",
     "IntensityStats",
@@ -46,9 +45,6 @@ __all__ = [
     "attach_fluctuation",
     "estimate_bounds",
 ]
-
-TWO_DECOY = "two-decoy"
-SINGLE_DECOY = "single-decoy"
 
 #: Excess-noise bounds above this value are reported as "no key".
 EXCESS_NOISE_CAP = 1e3
@@ -65,17 +61,17 @@ def _clamp01(x: float) -> float:
 class IntensityConfig:
     """Signal/decoy intensities and their selection probabilities.
 
-    Two-decoy mode requires ``mu > v1 + v2`` and ``v1 > v2 >= 0``; the
-    weakest selection probability is implied as the remainder.  In
-    single-decoy mode ``v1`` holds the lone decoy intensity and must
-    satisfy ``mu > v1 > 0``.  Both modes must also keep the estimators'
-    denominator ``mu*v1 - mu*v2 - v1^2 + v2^2`` (``v2 = 0`` with one
-    decoy) positive in floating point, which rejects infinite intensities.
-    A non-zero intensity must be a normal float: a subnormal one makes
-    ``lam * p`` underflow to 0 in the excess-noise bound.  ``mu`` must
-    keep ``e^mu`` finite, i.e. stay below ln(max float) = 709.78.
-
-    ``mode`` is derived: ``v2 is None`` means single-decoy.
+    With two decoys (``v2`` set) the intensities must satisfy
+    ``mu > v1 + v2`` and ``v1 > v2 >= 0``, and the weakest selection
+    probability is implied as the remainder.  With one decoy (``v2 is
+    None``) ``v1`` holds the lone decoy intensity, which must satisfy
+    ``mu > v1 > 0``, and the two selection probabilities must sum to 1
+    within 1e-9.  Both must also keep the estimators' denominator
+    ``mu*v1 - mu*v2 - v1^2 + v2^2`` (``v2 = 0`` with one decoy) positive
+    in floating point, which rejects infinite intensities.  A non-zero
+    intensity must be a normal float: a subnormal one makes ``lam * p``
+    underflow to 0 in the excess-noise bound.  ``mu`` must keep ``e^mu``
+    finite, i.e. stay below ln(max float) = 709.78.
     """
 
     mu: float
@@ -117,9 +113,9 @@ class IntensityConfig:
                     f"single-decoy intensities must satisfy mu > v > 0, "
                     f"got mu={self.mu}, v={self.v1}"
                 )
-            if self.p_mu + self.p_v1 > 1.0 + 1e-12:
+            if abs(self.p_mu + self.p_v1 - 1.0) > 1e-9:
                 raise DomainError(
-                    "selection probabilities must sum to at most 1, "
+                    "selection probabilities must sum to 1, "
                     f"got {self.p_mu + self.p_v1}"
                 )
         # An infinite mu makes den NaN (inf - inf, or inf * 0 with one decoy).
@@ -147,10 +143,6 @@ class IntensityConfig:
         cls, mu: float, v: float, p_mu: float, p_v: float
     ) -> "IntensityConfig":
         return cls(mu=mu, v1=v, v2=None, p_mu=p_mu, p_v1=p_v)
-
-    @property
-    def mode(self) -> str:
-        return SINGLE_DECOY if self.v2 is None else TWO_DECOY
 
     @property
     def p_v2(self) -> float:

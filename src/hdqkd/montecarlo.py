@@ -32,7 +32,9 @@ This is exact in distribution as well: given the cell counts, steps 2
 and 3 make each frame a coincidence independently with probability
 P_role, whatever its basis pairing.
 
-The 64-bit seed fully determines a session's tally and a coverage run.
+A session (:class:`SimConfig`) is a :class:`~hdqkd.scenario.Scenario`
+at one channel point, with its own pulse count and 64-bit seed; the seed
+fully determines the session's tally and a coverage run.
 """
 from __future__ import annotations
 
@@ -44,13 +46,9 @@ import numpy as np
 
 from . import fluctuation, physics
 from .decoy import IntensityConfig, IntensityStats, expected_stats
-from .errors import (
-    ChernoffInapplicableError,
-    ConfigError,
-    DomainError,
-    EstimationImpossibleError,
-)
-from .physics import ChannelPoint, FrameParams, PhysicalParams
+from .errors import ChernoffInapplicableError, DomainError, EstimationImpossibleError
+from .physics import ChannelPoint
+from .scenario import Scenario
 
 __all__ = [
     "PAIRINGS",
@@ -75,42 +73,41 @@ _MAX_PULSES = (1 << 63) - 1
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Everything a simulated session depends on, seed included."""
+    """One simulated session: the scenario at one channel point, run for
+    ``n_pulses`` pulses from a 64-bit ``seed``.  Every other setting is the
+    scenario's, checked there; ``n_pulses`` must be a whole number in
+    [1, 2**63 - 1] (numpy's samplers take C longs) and is stored as an int.
+    """
 
-    phys: PhysicalParams
-    frame: FrameParams
+    scenario: Scenario
     channel: ChannelPoint
-    intensities: IntensityConfig
-    p_t: float
     n_pulses: int
     seed: int
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.p_t <= 1.0:
-            raise DomainError(f"p_t must lie in [0, 1], got {self.p_t}")
         n = self.n_pulses
-        if not (1 <= n < math.inf) or n != int(n):
+        # Range first: int() cannot take the nan or inf that it rejects.
+        if not 1 <= n <= _MAX_PULSES or n != int(n):
             raise DomainError(
-                f"simulation needs a finite integer n_pulses >= 1, got {n}"
+                f"simulation needs a finite integer n_pulses in [1, 2^63 - 1], got {n}"
             )
-        if n > _MAX_PULSES:
-            raise DomainError(f"n_pulses must be <= 2^63 - 1, got {n}")
-        total = sum(p for _, _, p in self.intensities.roles())
-        if abs(total - 1.0) > 1e-9:
-            raise ConfigError(
-                f"selection probabilities must sum to 1 for simulation, got {total}"
-            )
+        object.__setattr__(self, "n_pulses", int(n))
+
+    @property
+    def intensities(self) -> IntensityConfig:
+        """The scenario's intensities, for readers of a tally's config."""
+        return self.scenario.intensities
 
     def analytic_postselection(self, role: str) -> float:
         """Closed-form postselection probability for one intensity role."""
-        for r, lam, _p in self.intensities.roles():
+        for r, lam, _p in self.scenario.intensities.roles():
             if r == role:
                 return physics.postselection_prob_closed(
                     lam,
-                    self.phys.eta_alice,
-                    self.phys.eta_bob,
+                    self.scenario.phys.eta_alice,
+                    self.scenario.phys.eta_bob,
                     self.channel.eta_t,
-                    self.frame.p_d,
+                    self.scenario.frame.p_d,
                 )
         raise DomainError(f"unknown intensity role {role!r}")
 
@@ -146,10 +143,10 @@ class SessionTally:
 
 def _cell_probabilities(config: SimConfig) -> np.ndarray:
     """Frame probability of every (role, pairing) cell, role-major."""
-    p_t = config.p_t
+    p_t = config.scenario.p_t
     pairing_p = (p_t * p_t, (1.0 - p_t) ** 2, 2.0 * p_t * (1.0 - p_t))
     cell_p = np.array(
-        [p * q for _, _, p in config.intensities.roles() for q in pairing_p]
+        [p * q for _, _, p in config.scenario.intensities.roles() for q in pairing_p]
     )
     # The roles' selection probabilities may sum to 1 +- 1e-9, and
     # multinomial rejects cell probabilities whose sum exceeds 1.
@@ -176,21 +173,22 @@ def simulate_session(config: SimConfig) -> SessionTally:
     for the coincidences, so the cost does not depend on ``n_pulses``.
     Identical configs (seed included) produce identical tallies.
     """
-    roles = config.intensities.roles()
-    p_d = config.frame.p_d
+    scenario = config.scenario
+    roles = scenario.intensities.roles()
+    p_d = scenario.frame.p_d
     # Detection probabilities depend only on the (small) pair number.
     # Pair numbers in the last bin have probability ~0 at any sane
     # intensity, and the last entry is exact in that regime anyway.
     grid = np.arange(_PAIR_BINS)
-    lut_alice = 1.0 - (1.0 - config.phys.eta_alice) ** grid * (1.0 - p_d)
+    lut_alice = 1.0 - (1.0 - scenario.phys.eta_alice) ** grid * (1.0 - p_d)
     lut_bob = (
         1.0
-        - (1.0 - config.phys.eta_bob * config.channel.eta_t) ** grid * (1.0 - p_d)
+        - (1.0 - scenario.phys.eta_bob * config.channel.eta_t) ** grid * (1.0 - p_d)
     )
     pmf = np.repeat([_pair_pmf(lam) for _, lam, _p in roles], len(PAIRINGS), axis=0)
     rng = np.random.Generator(np.random.Philox(key=config.seed & _SEED_MASK))
 
-    frames = rng.multinomial(int(config.n_pulses), _cell_probabilities(config))
+    frames = rng.multinomial(config.n_pulses, _cell_probabilities(config))
     hits = rng.binomial(rng.multinomial(frames, pmf), lut_alice * lut_bob)
     names = [(role, pairing) for role, _lam, _p in roles for pairing in PAIRINGS]
     cells = {
@@ -212,14 +210,14 @@ def empirical_stats(
     the simulator knows the ground truth and no microscopic timing model
     is simulated.
     """
-    config = tally.config
-    roles = config.intensities.roles()
+    scenario = tally.config.scenario
+    roles = scenario.intensities.roles()
     p_hat = {role: tally.empirical_p(role) for role, _lam, _p in roles}
     expected = expected_stats(
-        config.intensities,
-        config.phys,
-        config.frame,
-        config.channel,
+        scenario.intensities,
+        scenario.phys,
+        scenario.frame,
+        tally.config.channel,
         eve_zeta,
         delta_phi,
     )
@@ -236,22 +234,23 @@ def _estimation_counts(
 
     Slices of at most ``_CHUNK`` cell counts bound a long run's memory.
     """
+    scenario = config.scenario
     cell_p = _cell_probabilities(config)
     p_role = [
         physics.postselection_prob_series(
             lam,
-            config.phys.eta_alice,
-            config.phys.eta_bob,
+            scenario.phys.eta_alice,
+            scenario.phys.eta_bob,
             config.channel.eta_t,
-            config.frame.p_d,
+            scenario.frame.p_d,
         )
-        for _, lam, _p in config.intensities.roles()
+        for _, lam, _p in scenario.intensities.roles()
     ]
     rng = np.random.Generator(np.random.Philox(key=config.seed & _SEED_MASK))
     per_slice = max(1, _CHUNK // cell_p.size)
     for start in range(0, trials, per_slice):
         k = min(per_slice, trials - start)
-        frames = rng.multinomial(int(config.n_pulses), cell_p, size=k)
+        frames = rng.multinomial(config.n_pulses, cell_p, size=k)
         frames = frames[:, PAIRINGS.index("DD") :: len(PAIRINGS)]
         yield frames, rng.binomial(frames, p_role)
 
@@ -276,13 +275,13 @@ def coverage_experiment(
     trials = int(trials)
     if method not in fluctuation.METHODS:
         raise DomainError(f"unknown method {method!r}")
-    roles = config.intensities.roles()
+    roles = config.scenario.intensities.roles()
     p_true = [config.analytic_postselection(role) for role, _lam, _p in roles]
 
     def covers(k: int, p_hat: float) -> bool:
         p_sel = roles[k][2]
         iv = fluctuation.interval(
-            p_hat, p_sel, config.p_t, config.n_pulses, eps_pe, method
+            p_hat, p_sel, config.scenario.p_t, config.n_pulses, eps_pe, method
         )
         check = iv.applicability
         if check is not None and not check.ok:
@@ -309,7 +308,7 @@ def coverage_experiment(
 def format_tally(tally: SessionTally) -> str:
     """Text dump: one ``lambda basis_pair frames coincidences`` line per cell."""
     lines = []
-    for role, lam, _p in tally.config.intensities.roles():
+    for role, lam, _p in tally.config.scenario.intensities.roles():
         for pairing in PAIRINGS:
             cell = tally.cells[(role, pairing)]
             lines.append(f"{lam:.10g} {pairing} {cell.frames} {cell.coincidences}")

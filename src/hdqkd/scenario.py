@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from typing import TYPE_CHECKING
 
-from .decoy import SINGLE_DECOY, TWO_DECOY, IntensityConfig
+from .decoy import IntensityConfig
 from .errors import ConfigError, DomainError, SecurityModelError
 from .fluctuation import METHODS, EpsilonBudget
 from .physics import ChannelPoint, FrameParams, PhysicalParams
@@ -43,6 +43,10 @@ __all__ = [
     "preset_names",
     "build_scenario",
 ]
+
+#: The ``[protocol] mode`` words.
+TWO_DECOY = "two-decoy"
+SINGLE_DECOY = "single-decoy"
 
 
 @dataclass(frozen=True)
@@ -97,21 +101,14 @@ class Scenario:
     def sim_config(
         self, length_km: float, seed: int, n_pulses: float | None = None
     ) -> SimConfig:
-        """Materialize a Monte Carlo configuration at one channel point."""
+        """The Monte Carlo session of this scenario at one channel point,
+        of ``n_pulses`` pulses (the scenario's own count by default)."""
         from .montecarlo import SimConfig
 
-        pulses = n_pulses if n_pulses is not None else self.n_pulses
-        if not math.isfinite(pulses) or pulses != int(pulses):
-            raise ConfigError(
-                f"simulation needs a finite integer n_pulses, got {pulses}"
-            )
         return SimConfig(
-            phys=self.phys,
-            frame=self.frame,
+            scenario=self,
             channel=ChannelPoint.from_length(self.phys.alpha, length_km),
-            intensities=self.intensities,
-            p_t=self.p_t,
-            n_pulses=int(pulses),
+            n_pulses=self.n_pulses if n_pulses is None else n_pulses,
             seed=seed,
         )
 

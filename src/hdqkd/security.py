@@ -159,10 +159,11 @@ class TableSecurityModel:
 
     The file format is one ``d zeta_t zeta_w i_ab phi_ub`` record per
     line, whitespace-separated, with ``#`` comments; every value must be
-    finite.  Each dimension must carry a complete rectangular (zeta_t,
-    zeta_w) grid; duplicates are rejected.  Queries interpolate
-    bilinearly in the noise factors, return grid values verbatim on the
-    nodes, and refuse extrapolation.
+    finite, and ``i_ab`` and ``phi_ub`` must be >= 0, so no interpolant
+    falls below 0 either.  Each dimension must carry a complete
+    rectangular (zeta_t, zeta_w) grid; duplicates are rejected.  Queries
+    interpolate bilinearly in the noise factors, return grid values
+    verbatim on the nodes, and refuse extrapolation.
     """
 
     def __init__(self, rows: Iterable[tuple[int, float, float, float, float]]):
@@ -211,6 +212,10 @@ class TableSecurityModel:
                     raise SecurityModelError(
                         f"line {lineno}: {name} must be finite, got {value}"
                     )
+                if name in ("i_ab", "phi_ub") and value < 0.0:
+                    raise SecurityModelError(
+                        f"line {lineno}: {name} must be >= 0, got {value}"
+                    )
             rows.append((d, values[0], values[1], values[2], values[3]))
         return cls(rows)
 
@@ -255,11 +260,7 @@ class TableSecurityModel:
             high = e01 + ft * (e11 - e01)
             return low + fw * (high - low)
 
-        return SecurityQuantities(
-            i_ab=max(value(0), 0.0),
-            phi_ub=max(value(1), 0.0),
-            i_r=math.log2(d),
-        )
+        return SecurityQuantities(i_ab=value(0), phi_ub=value(1), i_r=math.log2(d))
 
 
 @functools.cache

@@ -91,7 +91,7 @@ def _seed_within_5_sigma(seed: int) -> bool:
     scenario = parse_config("", preset="fig2b")
     config = scenario.sim_config(0.0, seed=seed, n_pulses=10_000_000)
     tally = simulate_session(config)
-    for role, _lam, _p in config.intensities.roles():
+    for role, _lam, _p in scenario.intensities.roles():
         p_true = config.analytic_postselection(role)
         frames = tally.frames(role, "DD")
         sigma = math.sqrt(p_true * (1.0 - p_true) / frames)

@@ -141,6 +141,9 @@ class TestExitCodes:
             # numpy takes pulse counts as C longs.
             ("", ("simulate", "--preset", "fig2c", "--n-pulses", "1e19"), "n_pulses"),
             ("", ("coverage", "--preset", "fig2c", "--n-pulses", "1e19"), "n_pulses"),
+            # A session needs a finite pulse count; fig2c's own is inf.
+            ("", ("simulate", "--preset", "fig2c"), "n_pulses"),
+            ("", ("coverage", "--preset", "fig2c"), "n_pulses"),
         ],
     )
     def test_overflowing_value_exits_config_error(self, tmp_path, document, args, key):

@@ -86,6 +86,8 @@ class TestIntensityConfig:
             IntensityConfig.two_decoy(0.1, 0.05, 0.005, 0.8, 0.2)  # nothing left
         with pytest.raises(DomainError):
             IntensityConfig.single_decoy(0.1, 0.05, 0.9, 0.2)
+        with pytest.raises(DomainError, match="sum to 1"):
+            IntensityConfig.single_decoy(0.1, 0.05, 0.5, 0.2)
         assert TWO.p_v2 == pytest.approx(0.1, rel=1e-12)
 
     @pytest.mark.parametrize(

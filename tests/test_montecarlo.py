@@ -12,7 +12,6 @@ from hdqkd import montecarlo
 from hdqkd.decoy import IntensityConfig, attach_fluctuation, estimate_bounds
 from hdqkd.errors import (
     ChernoffInapplicableError,
-    ConfigError,
     DomainError,
     EstimationImpossibleError,
 )
@@ -28,7 +27,6 @@ from hdqkd.montecarlo import (
 )
 from hdqkd.physics import (
     ChannelPoint,
-    FrameParams,
     PhysicalParams,
     postselection_prob_series,
 )
@@ -40,19 +38,21 @@ def make_config(
     n_pulses: int = 200_000,
     seed: int = 20240917,
     mu: float = 0.1,
-    p_d: float | None = None,
+    r_dc: float = 1000.0,
     eta: float = 0.93,
+    p_t: float = 0.5,
 ) -> SimConfig:
-    phys = PhysicalParams(eta_alice=eta, eta_bob=eta)
-    frame = FrameParams.from_physical(phys)
-    if p_d is not None:
-        frame = replace(frame, p_d=p_d)
-    return SimConfig(
+    # r_dc = 1e12 is past 1/t_f, so it gives dark-count probability p_d = 1.
+    phys = PhysicalParams(eta_alice=eta, eta_bob=eta, r_dc=r_dc)
+    scenario = replace(
+        parse_config(""),
         phys=phys,
-        frame=frame,
-        channel=ChannelPoint.from_length(phys.alpha, length_km),
         intensities=IntensityConfig.two_decoy(mu, mu / 2, mu / 20, 0.7, 0.2),
-        p_t=0.5,
+        p_t=p_t,
+    )
+    return SimConfig(
+        scenario=scenario,
+        channel=ChannelPoint.from_length(phys.alpha, length_km),
         n_pulses=n_pulses,
         seed=seed,
     )
@@ -82,12 +82,12 @@ class TestSimulateSession:
     def test_every_frame_of_every_cell_counted(self):
         # With certain dark counts every frame is a coincidence, so a
         # pair-number bin that dropped or repeated frames would show.
-        tally = simulate_session(make_config(p_d=1.0, n_pulses=10**12))
+        tally = simulate_session(make_config(r_dc=1e12, n_pulses=10**12))
         assert sum(c.frames for c in tally.cells.values()) == 10**12
         assert all(c.coincidences == c.frames for c in tally.cells.values())
 
     def test_no_frame_a_coincidence_without_detection(self):
-        tally = simulate_session(make_config(eta=0.0, p_d=0.0, n_pulses=10**12))
+        tally = simulate_session(make_config(eta=0.0, r_dc=0.0, n_pulses=10**12))
         assert sum(c.frames for c in tally.cells.values()) == 10**12
         assert all(c.coincidences == 0 for c in tally.cells.values())
 
@@ -97,19 +97,19 @@ class TestSimulateSession:
             replace(make_config(), n_pulses=n_pulses)
 
     def test_blind_detectors_no_dark_counts(self):
-        config = make_config(eta=0.0, p_d=0.0)
+        config = make_config(eta=0.0, r_dc=0.0)
         tally = simulate_session(config)
         assert all(c.coincidences == 0 for c in tally.cells.values())
 
     def test_certain_dark_counts(self):
-        config = make_config(p_d=1.0, n_pulses=10_000)
+        config = make_config(r_dc=1e12, n_pulses=10_000)
         tally = simulate_session(config)
         assert all(c.coincidences == c.frames for c in tally.cells.values())
 
     def test_empirical_matches_analytic_within_5_sigma(self):
         config = make_config(n_pulses=2_000_000)
         tally = simulate_session(config)
-        for role, _lam, _p in config.intensities.roles():
+        for role, _lam, _p in config.scenario.intensities.roles():
             p_true = config.analytic_postselection(role)
             frames = tally.frames(role, "DD")
             sigma = math.sqrt(p_true * (1.0 - p_true) / frames)
@@ -121,24 +121,10 @@ class TestSimulateSession:
         for pairing, expected in (("TT", 0.25), ("DD", 0.25), ("mismatch", 0.5)):
             frames = sum(
                 tally.frames(role, pairing)
-                for role, _l, _p in config.intensities.roles()
+                for role, _l, _p in config.scenario.intensities.roles()
             )
             sigma = math.sqrt(expected * (1 - expected) / 1_000_000)
             assert abs(frames / 1_000_000 - expected) <= 5.0 * sigma
-
-    def test_selection_probabilities_must_sum_to_one(self):
-        phys = PhysicalParams()
-        frame = FrameParams.from_physical(phys)
-        with pytest.raises(ConfigError):
-            SimConfig(
-                phys=phys,
-                frame=frame,
-                channel=ChannelPoint.from_length(phys.alpha, 0.0),
-                intensities=IntensityConfig.single_decoy(0.1, 0.05, 0.5, 0.2),
-                p_t=0.5,
-                n_pulses=1000,
-                seed=1,
-            )
 
 
 class TestMultiPairRegime:
@@ -146,20 +132,19 @@ class TestMultiPairRegime:
         # At mu = 2 about 60% of signal frames carry two or more pairs.
         # p_t = 0.3 makes TT and DD unequal, so a swapped pairing shows,
         # and every pairing's coincidence rate must match the same P.
-        config = replace(
-            make_config(length_km=20.0, mu=2.0, eta=0.5, n_pulses=2_000_000),
-            p_t=0.3,
+        config = make_config(
+            length_km=20.0, mu=2.0, eta=0.5, n_pulses=2_000_000, p_t=0.3
         )
         tally = simulate_session(config)
         n = config.n_pulses
         pairing_p = {"TT": 0.09, "DD": 0.49, "mismatch": 0.42}
-        for role, lam, p_sel in config.intensities.roles():
+        for role, lam, p_sel in config.scenario.intensities.roles():
             p_true = postselection_prob_series(
                 lam,
-                config.phys.eta_alice,
-                config.phys.eta_bob,
+                config.scenario.phys.eta_alice,
+                config.scenario.phys.eta_bob,
                 config.channel.eta_t,
-                config.frame.p_d,
+                config.scenario.frame.p_d,
             )
             for pairing in PAIRINGS:
                 frames = tally.frames(role, pairing)
@@ -177,10 +162,11 @@ class TestEmpiricalStats:
         config = make_config()
         tally = simulate_session(config)
         stats = empirical_stats(tally, eve_zeta=0.0, delta_phi=0.0)
+        scenario = config.scenario
         gamma1, _ = true_quantities(
-            config.intensities, config.phys, config.frame, 0.0
+            scenario.intensities, scenario.phys, scenario.frame, 0.0
         )
-        for role, lam, _p in config.intensities.roles():
+        for role, lam, _p in scenario.intensities.roles():
             p_true = config.analytic_postselection(role)
             k_true = lam * math.exp(-lam) * gamma1 / p_true
             assert stats[role].phi_t == pytest.approx(k_true, rel=1e-12)
@@ -190,17 +176,17 @@ class TestEmpiricalStats:
         config = make_config()
         tally = simulate_session(config)
         base = empirical_stats(tally, 0.0, 0.0)
-        noisy = empirical_stats(tally, config.frame.zeta, 0.0)
+        noisy = empirical_stats(tally, config.scenario.frame.zeta, 0.0)
         for role in base:
             assert noisy[role].phi_t == pytest.approx(
-                base[role].phi_t * (1.0 + config.frame.zeta), rel=1e-12
+                base[role].phi_t * (1.0 + config.scenario.frame.zeta), rel=1e-12
             )
 
     def test_empty_estimation_cell_rejected(self):
         config = make_config(n_pulses=1000)
         cells = {
             (role, pairing): CellCount(frames=10, coincidences=1)
-            for role, _l, _p in config.intensities.roles()
+            for role, _l, _p in config.scenario.intensities.roles()
             for pairing in PAIRINGS
         }
         cells[("v2", "DD")] = CellCount(frames=0, coincidences=0)
@@ -266,7 +252,7 @@ class TestCoverage:
         # slice that dropped or repeated trials would move the fraction
         # off 1.  Slices of 7 trials do not divide 100.
         monkeypatch.setattr(montecarlo, "_CHUNK", 7 * 9)
-        config = make_config(p_d=1.0, n_pulses=10_000)
+        config = make_config(r_dc=1e12, n_pulses=10_000)
         assert coverage_experiment(config, 0.01, "hoeffding", 100) == 1.0
 
     @pytest.mark.parametrize("eps_pe", [1e-3, 1e-4])
@@ -283,7 +269,7 @@ class TestCoverage:
         centre = miss + z * z / (2 * trials)
         spread = z * math.sqrt(miss * (1 - miss) / trials + z * z / (4 * trials**2))
         wilson_lb = (centre - spread) / (1 + z * z / trials)
-        assert wilson_lb <= len(config.intensities.roles()) * eps_pe
+        assert wilson_lb <= len(config.scenario.intensities.roles()) * eps_pe
 
 
 class TestCountLevelSampler:
@@ -293,12 +279,9 @@ class TestCountLevelSampler:
         # multinomials (their pmf from lgamma) must agree in distribution,
         # per role's DD coincidences, in the multi-pair regime where the
         # Poisson mixture matters.
-        config = replace(
-            make_config(length_km=20.0, mu=2.0, eta=0.5, n_pulses=20_000),
-            p_t=0.3,
-        )
+        config = make_config(length_km=20.0, mu=2.0, eta=0.5, n_pulses=20_000, p_t=0.3)
         trials = 1000
-        roles = [role for role, _lam, _p in config.intensities.roles()]
+        roles = [role for role, _lam, _p in config.scenario.intensities.roles()]
         sessions = (
             simulate_session(replace(config, seed=config.seed ^ i))
             for i in range(trials)
@@ -327,22 +310,22 @@ class TestStatisticalSoundness:
         scenario = parse_config("", preset="fig2c")
         config = scenario.sim_config(0.0, seed=5150, n_pulses=500_000)
         gamma1_true, kmu_true = true_quantities(
-            config.intensities, config.phys, config.frame, 0.0
+            scenario.intensities, scenario.phys, scenario.frame, 0.0
         )
-        zeta_true = config.frame.zeta
+        zeta_true = scenario.frame.zeta
         sessions = 300
         failures = 0
         for trial in range(sessions):
             tally = simulate_session(replace(config, seed=config.seed ^ trial))
             stats, _ = attach_fluctuation(
                 empirical_stats(tally, zeta_true, 0.0),
-                config.intensities,
-                config.p_t,
+                scenario.intensities,
+                scenario.p_t,
                 config.n_pulses,
                 0.01,
                 "hoeffding",
             )
-            bounds = estimate_bounds(stats, config.intensities, config.frame.p_d)
+            bounds = estimate_bounds(stats, scenario.intensities, scenario.frame.p_d)
             ok = (
                 bounds.gamma1_lb <= gamma1_true
                 and bounds.kmu_lb <= kmu_true
@@ -362,23 +345,23 @@ class TestStatisticalSoundness:
         scenario = parse_config("", preset=preset)
         config = scenario.sim_config(length_km, seed=5150, n_pulses=10**10)
         gamma1_true, kmu_true = true_quantities(
-            config.intensities, config.phys, config.frame, length_km
+            scenario.intensities, scenario.phys, scenario.frame, length_km
         )
-        zeta_true = config.frame.zeta
+        zeta_true = scenario.frame.zeta
         sessions = 300
         failures = 0
         for trial in range(sessions):
             tally = simulate_session(replace(config, seed=config.seed ^ trial))
             stats, failed = attach_fluctuation(
                 empirical_stats(tally, zeta_true, 0.0),
-                config.intensities,
-                config.p_t,
+                scenario.intensities,
+                scenario.p_t,
                 config.n_pulses,
                 0.01,
                 method,
             )
             assert not failed
-            bounds = estimate_bounds(stats, config.intensities, config.frame.p_d)
+            bounds = estimate_bounds(stats, scenario.intensities, scenario.frame.p_d)
             ok = (
                 bounds.gamma1_lb <= gamma1_true
                 and bounds.kmu_lb <= kmu_true

@@ -8,10 +8,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hdqkd.decoy import SINGLE_DECOY, TWO_DECOY
-from hdqkd.errors import ConfigError, HdqkdError
+from hdqkd.errors import ConfigError, DomainError, HdqkdError
 from hdqkd.physics import GAUSSIAN_FWHM_FACTOR
-from hdqkd.scenario import _SECTIONS, PRESETS, parse_config, preset_names
+from hdqkd.scenario import (
+    _SECTIONS,
+    PRESETS,
+    SINGLE_DECOY,
+    TWO_DECOY,
+    parse_config,
+    preset_names,
+)
 from hdqkd.security import GaussianSecurityModel, TableSecurityModel
 from hdqkd.sweep import run_point
 
@@ -27,7 +33,7 @@ class TestPresets:
     def test_first_two_decoy_preset(self):
         s = parse_config("", preset="fig2a")
         assert s.phys.schmidt_d == 8
-        assert s.intensities.mode == TWO_DECOY
+        assert s.intensities.v2 is not None
         assert s.intensities.mu == 0.01
         assert s.intensities.v1 == pytest.approx(0.005)
         assert s.intensities.v2 == pytest.approx(0.0005)
@@ -58,7 +64,7 @@ class TestPresets:
             assert frame.delta_cor == s.phys.schmidt_d * 30e-12
             cfg = s.intensities
             assert cfg.v1 == pytest.approx(cfg.mu / 2)
-            if cfg.mode == TWO_DECOY:
+            if cfg.v2 is not None:
                 assert cfg.v2 == pytest.approx(cfg.v1 / 10)
                 assert (cfg.p_mu, cfg.p_v1, cfg.p_v2) == pytest.approx(
                     (0.7, 0.2, 0.1)
@@ -112,7 +118,7 @@ class TestParsing:
 
     def test_mode_switch_resets_ratios_and_decoys(self):
         s = parse_config("[protocol]\nmode = single-decoy\n", preset="fig2a")
-        assert s.intensities.mode == SINGLE_DECOY
+        assert s.intensities.v2 is None
         assert s.intensities.v1 == pytest.approx(0.005)
         assert (s.intensities.p_mu, s.intensities.p_v1) == pytest.approx((0.8, 0.2))
 
@@ -315,7 +321,7 @@ class TestSecurityModelSelection:
 class TestSimConfigBridge:
     def test_finite_pulses_required(self):
         s = parse_config("", preset="fig2b")
-        with pytest.raises(ConfigError, match="finite"):
+        with pytest.raises(DomainError, match="finite"):
             s.sim_config(0.0, seed=1)
         cfg = s.sim_config(10.0, seed=3, n_pulses=1_000)
         assert cfg.n_pulses == 1_000
@@ -325,7 +331,7 @@ class TestSimConfigBridge:
     @pytest.mark.parametrize("pulses", [2.5, 1e6 + 0.5, math.nan, -math.inf])
     def test_non_integral_pulses_rejected(self, pulses):
         s = parse_config("", preset="fig2b")
-        with pytest.raises(ConfigError, match="integer n_pulses"):
+        with pytest.raises(DomainError, match="integer n_pulses"):
             s.sim_config(0.0, seed=1, n_pulses=pulses)
 
     def test_integral_float_pulses_accepted(self):

@@ -78,6 +78,19 @@ class TestTableModel:
         for row, name in bad_rows.items():
             with pytest.raises(SecurityModelError, match=f"line 2: {name} must be"):
                 TableSecurityModel.from_text(f"8 0.0 0.0 3.0 0.0\n{row}\n")
+        # A negative node, which bilinear interpolation would carry below 0
+        # between the nodes (phi_ub = -0.9 at zeta_w = 900).
+        four_nodes = "8 0 0 3.0 0.0\n8 0 1000 {}\n8 1000 0 2.0 1\n8 1000 1000 1.0 2\n"
+        for values, name in {"2.0 -1": "phi_ub", "-2.0 1": "i_ab"}.items():
+            with pytest.raises(SecurityModelError, match=f"line 2: {name} must be >= 0"):
+                TableSecurityModel.from_text(four_nodes.format(values))
+
+    def test_negative_interpolant_rejected(self):
+        # A table built from rows skips the file checks, so the negative
+        # value reaches SecurityQuantities instead of reading as 0.
+        table = TableSecurityModel([(8, 0, 0, 3.0, 0.0), (8, 0, 1000, 2.0, -1.0)])
+        with pytest.raises(DomainError, match="phi_ub"):
+            table.quantities(8, 0.0, 900.0)
 
     def test_negative_query_rejected(self):
         bad = [(-0.01, 0.0), (math.nan, 0.0), (0.0, math.nan)]
