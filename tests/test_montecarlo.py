@@ -126,6 +126,21 @@ class TestSimulateSession:
             sigma = math.sqrt(expected * (1 - expected) / 1_000_000)
             assert abs(frames / 1_000_000 - expected) <= 5.0 * sigma
 
+    def test_selection_probabilities_must_sum_to_one(self):
+        # The sum is checked once, in IntensityConfig, so a session whose
+        # selections leave 0.2 unassigned cannot be configured at all.
+        phys = PhysicalParams()
+        with pytest.raises(DomainError, match="sum to 1"):
+            SimConfig(
+                scenario=replace(
+                    parse_config(""),
+                    intensities=IntensityConfig.single_decoy(0.1, 0.05, 0.5, 0.2),
+                ),
+                channel=ChannelPoint.from_length(phys.alpha, 0.0),
+                n_pulses=1000,
+                seed=1,
+            )
+
 
 class TestMultiPairRegime:
     def test_every_cell_matches_series_within_5_sigma(self):
