@@ -248,7 +248,6 @@ def expected_stats(
     phys: PhysicalParams,
     frame: FrameParams,
     channel: ChannelPoint,
-    zeta: float,
     delta_phi: float,
 ) -> dict[str, IntensityStats]:
     """Model expectation of the measured statistics at one channel point.
@@ -257,7 +256,7 @@ def expected_stats(
     (interval ends degenerate until a fluctuation method is attached);
     its average multipliers come from :func:`multiplier_forward` at the
     true single-pair fraction ``lam e^{-lam} gamma_1 / p_post`` with the
-    excess-noise factor ``zeta`` in both correlation bases.
+    frame's excess-noise factor ``frame.zeta`` in both correlation bases.
     """
     gamma1 = physics.pair_yield(
         1, phys.eta_alice, phys.eta_bob, channel.eta_t, frame.p_d
@@ -268,7 +267,7 @@ def expected_stats(
             lam, phys.eta_alice, phys.eta_bob, channel.eta_t, frame.p_d
         )
         k_true = lam * math.exp(-lam) * gamma1 / p_post if p_post > 0.0 else 0.0
-        phi = multiplier_forward(min(k_true, 1.0), zeta, delta_phi)
+        phi = multiplier_forward(min(k_true, 1.0), frame.zeta, delta_phi)
         stats[role] = IntensityStats(
             p_post=p_post, p_minus=p_post, p_plus=p_post, phi_t=phi, phi_w=phi
         )

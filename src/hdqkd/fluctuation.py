@@ -147,10 +147,8 @@ def hoeffding_delta(n_frames: float, eps_pe: float) -> float:
     _check_eps_pe(eps_pe)
     if n_frames <= 0:
         raise EstimationImpossibleError("estimation impossible: no frames available")
-    return 0.0 if math.isinf(n_frames) else _hoeffding_width(n_frames, eps_pe)
-
-
-def _hoeffding_width(n_frames: float, eps_pe: float) -> float:
+    if math.isinf(n_frames):
+        return 0.0
     return math.sqrt(math.log(2.0 / eps_pe) / (2.0 * n_frames))
 
 
@@ -173,12 +171,6 @@ def chernoff_deltas(
         raise DomainError(f"p_center must lie in [0, 1], got {p_center}")
     if n_frames <= 0:
         raise EstimationImpossibleError("estimation impossible: no frames available")
-    return _chernoff_widths(p_center, n_frames, eps_pe)
-
-
-def _chernoff_widths(
-    p_center: float, n_frames: float, eps_pe: float
-) -> tuple[float, float]:
     if math.isinf(n_frames) or p_center == 0.0:
         return (0.0, 0.0)
     eps = eps_pe / 3.0
@@ -256,13 +248,14 @@ def interval(
 ) -> FluctuationInterval:
     """Build the fluctuation interval for one intensity.
 
-    Dispatches to the chosen method (one of ``METHODS``) with the
-    estimation frame count derived from the selection and basis
-    probabilities.  The infinite-pulse sentinel yields the degenerate
-    interval labelled ``exact`` whatever the method.  A ``chernoff``
-    interval always carries the multiplicative bound's precondition
-    check on ``applicability`` and keeps the stated widths when the check
-    fails; each caller decides what a failed check means.
+    Takes the widths of the chosen method (one of ``METHODS``) from
+    :func:`hoeffding_delta` or :func:`chernoff_deltas`, at the estimation
+    frame count derived from the selection and basis probabilities.  The
+    infinite-pulse sentinel yields the degenerate interval labelled
+    ``exact`` whatever the method.  A ``chernoff`` interval always
+    carries the multiplicative bound's precondition check on
+    ``applicability`` and keeps the stated widths when the check fails;
+    each caller decides what a failed check means.
     """
     if method not in METHODS:
         raise DomainError(f"unknown method {method!r}, expected one of {METHODS}")
@@ -282,13 +275,12 @@ def interval(
             "estimation impossible: no estimation frames "
             f"(p_lambda={p_lambda}, p_t={p_t}, n_pulses={n_pulses})"
         )
-    _check_eps_pe(eps_pe)
     check = None
     if method == "hoeffding":
-        delta_plus = delta_minus = _hoeffding_width(n_frames, eps_pe)
+        delta_plus = delta_minus = hoeffding_delta(n_frames, eps_pe)
     else:
         check = chernoff_applicable(p_center * n_frames, n_frames, eps_pe)
-        delta_plus, delta_minus = _chernoff_widths(p_center, n_frames, eps_pe)
+        delta_plus, delta_minus = chernoff_deltas(p_center, n_frames, eps_pe)
     return FluctuationInterval(
         p_center=p_center,
         p_minus=max(0.0, p_center - delta_minus),

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -77,6 +78,9 @@ class SimConfig:
     ``n_pulses`` pulses from a 64-bit ``seed``.  Every other setting is the
     scenario's, checked there; ``n_pulses`` must be a whole number in
     [1, 2**63 - 1] (numpy's samplers take C longs) and is stored as an int.
+    The model statistics at the channel point
+    (:func:`~hdqkd.decoy.expected_stats`) are built once per config and
+    give both :meth:`analytic_postselection` and :func:`empirical_stats`.
     """
 
     scenario: Scenario
@@ -98,18 +102,17 @@ class SimConfig:
         """The scenario's intensities, for readers of a tally's config."""
         return self.scenario.intensities
 
+    @cached_property
+    def _expected(self) -> dict[str, IntensityStats]:
+        """The model statistics at this channel point, built once."""
+        s = self.scenario
+        return expected_stats(s.intensities, s.phys, s.frame, self.channel, s.delta_phi)
+
     def analytic_postselection(self, role: str) -> float:
         """Closed-form postselection probability for one intensity role."""
-        for r, lam, _p in self.scenario.intensities.roles():
-            if r == role:
-                return physics.postselection_prob_closed(
-                    lam,
-                    self.scenario.phys.eta_alice,
-                    self.scenario.phys.eta_bob,
-                    self.channel.eta_t,
-                    self.scenario.frame.p_d,
-                )
-        raise DomainError(f"unknown intensity role {role!r}")
+        if role not in self._expected:
+            raise DomainError(f"unknown intensity role {role!r}")
+        return self._expected[role].p_post
 
 
 @dataclass(frozen=True)
@@ -198,33 +201,22 @@ def simulate_session(config: SimConfig) -> SessionTally:
     return SessionTally(config=config, cells=cells)
 
 
-def empirical_stats(
-    tally: SessionTally, eve_zeta: float, delta_phi: float
-) -> dict[str, IntensityStats]:
+def empirical_stats(tally: SessionTally) -> dict[str, IntensityStats]:
     """Package a session tally as measured statistics.
 
     The postselection probabilities are the empirical estimation-basis
     values (interval ends degenerate until a fluctuation method is
-    attached).  The average multipliers are those of
-    :func:`~hdqkd.decoy.expected_stats` at the configured channel, since
-    the simulator knows the ground truth and no microscopic timing model
-    is simulated.
+    attached).  Everything else is the session's model record, i.e.
+    :func:`~hdqkd.decoy.expected_stats` at its channel point with the
+    scenario's excess noise and ``delta_phi``: the simulator knows the
+    ground truth and simulates no microscopic timing model, so the
+    average multipliers are the model's.
     """
-    scenario = tally.config.scenario
-    roles = scenario.intensities.roles()
-    p_hat = {role: tally.empirical_p(role) for role, _lam, _p in roles}
-    expected = expected_stats(
-        scenario.intensities,
-        scenario.phys,
-        scenario.frame,
-        tally.config.channel,
-        eve_zeta,
-        delta_phi,
-    )
-    return {
-        role: replace(s, p_post=p_hat[role], p_minus=p_hat[role], p_plus=p_hat[role])
-        for role, s in expected.items()
-    }
+    stats = {}
+    for role, model in tally.config._expected.items():
+        p_hat = tally.empirical_p(role)
+        stats[role] = replace(model, p_post=p_hat, p_minus=p_hat, p_plus=p_hat)
+    return stats
 
 
 def _estimation_counts(

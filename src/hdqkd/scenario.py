@@ -312,7 +312,13 @@ def _parse_ratios(value: str, mode: str) -> tuple[float, float]:
         problem = f"weights must be finite and > 0, got {value!r}"
         raise _value_error(label, value, problem)
     total = sum(weights)
-    return weights[0] / total, weights[1] / total
+    probs = [w / total for w in weights]
+    if expected == 3:  # IntensityConfig's remainder for v2
+        probs[2] = 1.0 - probs[0] - probs[1]
+    if not all(0.0 < p < 1.0 for p in probs):
+        problem = f"selection probabilities must lie in (0, 1), got {probs}"
+        raise _value_error(label, value, problem)
+    return probs[0], probs[1]
 
 
 def build_scenario(

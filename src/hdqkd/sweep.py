@@ -82,9 +82,7 @@ def run_point(scenario: Scenario, length_km: float) -> ResultRow:
     frame = scenario.frame
     channel = ChannelPoint.from_length(phys.alpha, length_km)
     stats, failed = attach_fluctuation(
-        expected_stats(
-            scenario.intensities, phys, frame, channel, frame.zeta, scenario.delta_phi
-        ),
+        expected_stats(scenario.intensities, phys, frame, channel, scenario.delta_phi),
         scenario.intensities,
         scenario.p_t,
         scenario.n_pulses,

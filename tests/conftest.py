@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -29,8 +30,9 @@ def exact_stats(
     frame's own excess noise unless ``zeta`` is given.
     """
     channel = ChannelPoint.from_length(phys.alpha, length_km)
-    z = frame.zeta if zeta is None else zeta
-    return expected_stats(cfg, phys, frame, channel, z, delta_phi)
+    if zeta is not None:
+        frame = replace(frame, zeta=zeta)
+    return expected_stats(cfg, phys, frame, channel, delta_phi)
 
 
 def true_quantities(

@@ -412,7 +412,7 @@ class TestWiderIntervalsNeverHelp:
             for length in range(0, 301, 10):
                 channel = ChannelPoint.from_length(s.phys.alpha, length)
                 model = expected_stats(
-                    s.intensities, s.phys, s.frame, channel, s.frame.zeta, s.delta_phi
+                    s.intensities, s.phys, s.frame, channel, s.delta_phi
                 )
                 stats, _ = attach_fluctuation(
                     model,

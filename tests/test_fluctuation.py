@@ -140,6 +140,21 @@ class TestChernoffApplicability:
         check = chernoff_applicable(1e4, 1e4, 0.999)
         assert check.ok
 
+    def test_infinite_sample_passes_with_full_margins(self):
+        # N = inf: alpha_l is infinite, so each margin is its whole exponent.
+        check = chernoff_applicable(math.inf, math.inf, 1e-10)
+        assert check.ok and check.reason is None
+        assert check.alpha_l == math.inf
+        assert check.margin_first == pytest.approx(9 / 32, rel=1e-15)
+        assert check.margin_second == pytest.approx(1 / 3, rel=1e-15)
+
+    @pytest.mark.parametrize("n_frames", [0.0, -1.0])
+    def test_no_frames_fails(self, n_frames):
+        check = chernoff_applicable(0.0, n_frames, 1e-10)
+        assert not check.ok
+        assert check.reason == "no frames available"
+        assert check.alpha_l == check.margin_first == check.margin_second == -math.inf
+
 
 class TestInterval:
     def test_exact_is_not_a_method(self):

@@ -8,8 +8,13 @@ import numpy as np
 import pytest
 
 from conftest import true_quantities
-from hdqkd import montecarlo
-from hdqkd.decoy import IntensityConfig, attach_fluctuation, estimate_bounds
+from hdqkd import fluctuation, montecarlo
+from hdqkd.decoy import (
+    IntensityConfig,
+    attach_fluctuation,
+    estimate_bounds,
+    expected_stats,
+)
 from hdqkd.errors import (
     ChernoffInapplicableError,
     DomainError,
@@ -28,6 +33,7 @@ from hdqkd.montecarlo import (
 from hdqkd.physics import (
     ChannelPoint,
     PhysicalParams,
+    postselection_prob_closed,
     postselection_prob_series,
 )
 from hdqkd.scenario import parse_config
@@ -176,26 +182,45 @@ class TestEmpiricalStats:
     def test_multipliers_from_forward_model(self):
         config = make_config()
         tally = simulate_session(config)
-        stats = empirical_stats(tally, eve_zeta=0.0, delta_phi=0.0)
+        stats = empirical_stats(tally)
         scenario = config.scenario
+        zeta = scenario.frame.zeta
         gamma1, _ = true_quantities(
             scenario.intensities, scenario.phys, scenario.frame, 0.0
         )
         for role, lam, _p in scenario.intensities.roles():
             p_true = config.analytic_postselection(role)
             k_true = lam * math.exp(-lam) * gamma1 / p_true
-            assert stats[role].phi_t == pytest.approx(k_true, rel=1e-12)
+            assert stats[role].phi_t == pytest.approx(k_true * (1 + zeta), rel=1e-12)
+            assert stats[role].p_post == tally.empirical_p(role)
             assert stats[role].p_minus == stats[role].p_plus == stats[role].p_post
 
     def test_nonzero_noise_scales_multiplier(self):
+        # The same counts under a scenario with no correlation-time change
+        # (zeta = 0) keep p-hat and drop the factor 1 + zeta.
         config = make_config()
         tally = simulate_session(config)
-        base = empirical_stats(tally, 0.0, 0.0)
-        noisy = empirical_stats(tally, config.scenario.frame.zeta, 0.0)
+        phys = replace(config.scenario.phys, delta_delta=0.0)
+        quiet = replace(config, scenario=replace(config.scenario, phys=phys))
+        assert quiet.scenario.frame.zeta == 0.0 < config.scenario.frame.zeta
+        base = empirical_stats(replace(tally, config=quiet))
+        noisy = empirical_stats(tally)
         for role in base:
+            assert noisy[role].p_post == base[role].p_post
             assert noisy[role].phi_t == pytest.approx(
                 base[role].phi_t * (1.0 + config.scenario.frame.zeta), rel=1e-12
             )
+
+    def test_model_record_is_expected_stats(self):
+        # A session's analytic values are the chain's expected statistics.
+        config = make_config(length_km=40.0)
+        s = config.scenario
+        channel = config.channel
+        model = expected_stats(s.intensities, s.phys, s.frame, channel, s.delta_phi)
+        for role, _lam, _p in s.intensities.roles():
+            assert config.analytic_postselection(role) == model[role].p_post
+        with pytest.raises(DomainError, match="unknown intensity role"):
+            config.analytic_postselection("v3")
 
     def test_empty_estimation_cell_rejected(self):
         config = make_config(n_pulses=1000)
@@ -207,7 +232,7 @@ class TestEmpiricalStats:
         cells[("v2", "DD")] = CellCount(frames=0, coincidences=0)
         tally = SessionTally(config=config, cells=cells)
         with pytest.raises(EstimationImpossibleError):
-            empirical_stats(tally, 0.0, 0.0)
+            empirical_stats(tally)
 
 
 class TestCoverage:
@@ -286,6 +311,55 @@ class TestCoverage:
         wilson_lb = (centre - spread) / (1 + z * z / trials)
         assert wilson_lb <= len(config.scenario.intensities.roles()) * eps_pe
 
+    @pytest.mark.parametrize(
+        ("preset", "method", "n_pulses", "eps_pe", "seed"),
+        [
+            # Loose eps: intervals miss, so the fraction lies inside (0, 1).
+            ("fig2f", "hoeffding", 200_000, 0.9, 11),
+            ("fig2f", "chernoff", 200_000, 0.9, 11),
+            # The benchmark's coverage inputs (0 km, eps 0.01, 100 trials).
+            *(
+                (preset, method, n_pulses, 0.01, seed)
+                for preset, method in (
+                    ("fig2f", "hoeffding"),
+                    ("fig2f", "chernoff"),
+                    ("fig2c", "hoeffding"),
+                )
+                for n_pulses in (50_000, 200_000)
+                for seed in (1, 2**62 + 7, 6_021_023)
+            ),
+        ],
+    )
+    def test_fraction_is_its_definition(self, preset, method, n_pulses, eps_pe, seed):
+        # Coverage is the share of trials in which every role's interval,
+        # built by fluctuation.interval around the trial's p-hat, holds the
+        # closed-form value; recount it trial by trial over the same draws.
+        scenario = parse_config("", preset=preset)
+        config = scenario.sim_config(0.0, seed=seed, n_pulses=n_pulses)
+        trials = 100
+        roles = scenario.intensities.roles()
+        phys, p_d = scenario.phys, scenario.frame.p_d
+        eta_t = config.channel.eta_t
+        p_true = [
+            postselection_prob_closed(lam, phys.eta_alice, phys.eta_bob, eta_t, p_d)
+            for _role, lam, _p in roles
+        ]
+        covered = 0
+        for frames, hits in montecarlo._estimation_counts(config, trials):
+            for f_row, h_row in zip(frames.tolist(), hits.tolist()):
+                trial_ok = True
+                for f, h, (_role, _lam, p_sel), p in zip(f_row, h_row, roles, p_true):
+                    iv = fluctuation.interval(
+                        h / f, p_sel, scenario.p_t, n_pulses, eps_pe, method
+                    )
+                    assert iv.applicability is None or iv.applicability.ok
+                    trial_ok &= iv.p_minus <= p <= iv.p_plus
+                covered += trial_ok
+        fraction = coverage_experiment(config, eps_pe, method, trials)
+        assert fraction == covered / trials
+        if eps_pe == 0.9:
+            assert 0.0 < fraction < 1.0
+
 
 class TestCountLevelSampler:
     def test_dd_coincidences_match_frame_level_sessions(self):
@@ -333,7 +407,7 @@ class TestStatisticalSoundness:
         for trial in range(sessions):
             tally = simulate_session(replace(config, seed=config.seed ^ trial))
             stats, _ = attach_fluctuation(
-                empirical_stats(tally, zeta_true, 0.0),
+                empirical_stats(tally),
                 scenario.intensities,
                 scenario.p_t,
                 config.n_pulses,
@@ -368,7 +442,7 @@ class TestStatisticalSoundness:
         for trial in range(sessions):
             tally = simulate_session(replace(config, seed=config.seed ^ trial))
             stats, failed = attach_fluctuation(
-                empirical_stats(tally, zeta_true, 0.0),
+                empirical_stats(tally),
                 scenario.intensities,
                 scenario.p_t,
                 config.n_pulses,

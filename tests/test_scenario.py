@@ -176,6 +176,24 @@ class TestParsing:
             ("[protocol]\nratios = 1:2", "line 4: [protocol] ratios: two-decoy mode"),
             ("[protocol]\nratios = a:b:c", "line 4: [protocol] ratios: not numbers"),
             ("[protocol]\nratios = 0:1:1", "line 4: [protocol] ratios: weights must"),
+            # Finite weights whose selection probabilities leave (0, 1): the
+            # sum overflows, p_mu rounds to 1, v2 gets no remainder.
+            (
+                "[protocol]\nratios = 1e308:1e308:1",
+                "line 4: [protocol] ratios: selection probabilities must lie in",
+            ),
+            (
+                "[protocol]\nratios = 1:1e-300:1e-300",
+                "line 4: [protocol] ratios: selection probabilities must lie in",
+            ),
+            (
+                "[protocol]\nratios = 1:1:1e-17",
+                "line 4: [protocol] ratios: selection probabilities must lie in",
+            ),
+            (
+                "[protocol]\nmode = single-decoy\nratios = 1e308:1e308",
+                "line 5: [protocol] ratios: selection probabilities must lie in",
+            ),
             ("[protocol]\nmode = x", "line 4: [protocol] mode: expected"),
             ("[protocol]\nmode = single-decoy\nv2 = 0.01", "line 5: [protocol] v2"),
             ("[security_model]\nmodel = x", "line 4: [security_model] model"),
