@@ -3,7 +3,7 @@
 Every frame gets its own intensity role, basis pairing and Poisson pair
 number, and both parties detect it (photons or dark counts) independently
 given that pair number.  The sampler draws only what the tally depends
-on, in three steps that are exact in distribution up to 2**53 ≈ 9.0e15
+on, in two steps that are exact in distribution up to 2**53 ≈ 9.0e15
 pulses (above that, numpy's multinomial and binomial return counts
 rounded to doubles, though totals stay exact; presets use at most 1e13):
 
@@ -11,26 +11,22 @@ rounded to doubles, though totals stay exact; presets use at most 1e13):
    categorical with probability ``p_role * pi_pairing``, where ``pi`` is
    ``(p_t**2, (1 - p_t)**2, 2 p_t (1 - p_t))`` for TT, DD and mismatch.
    So the frame counts of all cells are one multinomial draw.
-2. The pair number depends on the intensity only, so the pair numbers
-   of a cell's m frames are m iid Poisson draws at its role's intensity,
-   and their counts per value are one Multinomial(m, pmf) draw.
-3. The parties detect independently given the pair number n, so the
-   coincidences among the m frames of a cell that share n are
-   Binomial(m, P_alice(n) * P_bob(n)).
+2. The pair number depends on the intensity only, and the parties
+   detect independently given it, so each of a cell's m frames is a
+   coincidence independently with probability
+   ``P_role = sum_n pmf(n) * P_alice(n) * P_bob(n)``, whatever its basis
+   pairing.  A cell's coincidences are one Binomial(m, P_role) draw.
 
 No draw is per frame, so a session costs the same at any pulse count.
 Its tally validates the analytic model and shares no code with it: each
-role's pair-number pmf is computed here from ``math.lgamma``, not by
-:func:`~hdqkd.physics.poisson_pmf` or a postselection series, and
-criterion 1 separately pins the closed form against the series to 1e-12.
+role's pair-number pmf is computed here from ``math.lgamma`` and summed
+over 64 pair-number bins, not by :func:`~hdqkd.physics.poisson_pmf` or
+a postselection series, and criterion 1 separately pins the closed form
+against the series to 1e-12.
 
-Coverage needs only each trial's estimation (DD) cells, so it draws
-counts: step 1 as one multinomial per trial, then each role's DD
-coincidences as one Binomial(frames, P_role), with ``P_role`` the Poisson
-mixture of the yields (:func:`~hdqkd.physics.postselection_prob_series`).
-This is exact in distribution as well: given the cell counts, steps 2
-and 3 make each frame a coincidence independently with probability
-P_role, whatever its basis pairing.
+Coverage needs only each trial's estimation (DD) cells, so it draws step
+1 as one multinomial per trial and step 2 for the DD cells only, at the
+same ``P_role``.
 
 A session (:class:`SimConfig`) is a :class:`~hdqkd.scenario.Scenario`
 at one channel point, with its own pulse count and 64-bit seed; the seed
@@ -45,7 +41,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from . import fluctuation, physics
+from . import fluctuation
 from .decoy import IntensityConfig, IntensityStats, expected_stats
 from .errors import ChernoffInapplicableError, DomainError, EstimationImpossibleError
 from .physics import ChannelPoint
@@ -162,6 +158,23 @@ def _pair_pmf(lam: float) -> list[float]:
     return pmf + [max(0.0, 1.0 - math.fsum(pmf))]
 
 
+def _coincidence_probabilities(config: SimConfig) -> list[float]:
+    """Each role's per-frame coincidence probability, in role order: the
+    mixture ``sum_n pmf(n) * P_alice(n) * P_bob(n)`` over the pair-number
+    bins, with dark counts filling in for lost photons.  The last bin
+    lumps every n >= 63 and has probability ~0 at any sane intensity."""
+    s = config.scenario
+    miss = 1.0 - s.frame.p_d
+    lost_a, lost_b = 1.0 - s.phys.eta_alice, 1.0 - s.phys.eta_bob * config.channel.eta_t
+    both = [
+        (1.0 - lost_a**n * miss) * (1.0 - lost_b**n * miss) for n in range(_PAIR_BINS)
+    ]
+    return [
+        math.fsum(p * q for p, q in zip(_pair_pmf(lam), both))
+        for _, lam, _p in s.intensities.roles()
+    ]
+
+
 def simulate_session(config: SimConfig) -> SessionTally:
     """Run one protocol session of ``n_pulses`` frames.
 
@@ -171,32 +184,21 @@ def simulate_session(config: SimConfig) -> SessionTally:
     and each party detects independently given the pair number, with the
     per-frame dark-count probability filling in for lost photons.  A
     coincidence is both parties detecting.  The draws follow the module's
-    three steps: one multinomial for the cell counts, one multinomial per
-    cell for its pair numbers, and one binomial per (cell, pair number)
-    for the coincidences, so the cost does not depend on ``n_pulses``.
-    Identical configs (seed included) produce identical tallies.
+    two steps: one multinomial for the cell counts, then one binomial per
+    cell for its coincidences at its role's probability, so the cost does
+    not depend on ``n_pulses``.  Identical configs (seed included)
+    produce identical tallies.
     """
-    scenario = config.scenario
-    roles = scenario.intensities.roles()
-    p_d = scenario.frame.p_d
-    # Detection probabilities depend only on the (small) pair number.
-    # Pair numbers in the last bin have probability ~0 at any sane
-    # intensity, and the last entry is exact in that regime anyway.
-    grid = np.arange(_PAIR_BINS)
-    lut_alice = 1.0 - (1.0 - scenario.phys.eta_alice) ** grid * (1.0 - p_d)
-    lut_bob = (
-        1.0
-        - (1.0 - scenario.phys.eta_bob * config.channel.eta_t) ** grid * (1.0 - p_d)
-    )
-    pmf = np.repeat([_pair_pmf(lam) for _, lam, _p in roles], len(PAIRINGS), axis=0)
+    roles = config.scenario.intensities.roles()
+    p_cell = np.repeat(_coincidence_probabilities(config), len(PAIRINGS))
     rng = np.random.Generator(np.random.Philox(key=config.seed & _SEED_MASK))
 
     frames = rng.multinomial(config.n_pulses, _cell_probabilities(config))
-    hits = rng.binomial(rng.multinomial(frames, pmf), lut_alice * lut_bob)
+    hits = rng.binomial(frames, p_cell)
     names = [(role, pairing) for role, _lam, _p in roles for pairing in PAIRINGS]
     cells = {
         name: CellCount(frames=count, coincidences=hit)
-        for name, count, hit in zip(names, frames.tolist(), hits.sum(1).tolist())
+        for name, count, hit in zip(names, frames.tolist(), hits.tolist())
     }
     return SessionTally(config=config, cells=cells)
 
@@ -226,18 +228,8 @@ def _estimation_counts(
 
     Slices of at most ``_CHUNK`` cell counts bound a long run's memory.
     """
-    scenario = config.scenario
     cell_p = _cell_probabilities(config)
-    p_role = [
-        physics.postselection_prob_series(
-            lam,
-            scenario.phys.eta_alice,
-            scenario.phys.eta_bob,
-            config.channel.eta_t,
-            scenario.frame.p_d,
-        )
-        for _, lam, _p in scenario.intensities.roles()
-    ]
+    p_role = _coincidence_probabilities(config)
     rng = np.random.Generator(np.random.Philox(key=config.seed & _SEED_MASK))
     per_slice = max(1, _CHUNK // cell_p.size)
     for start in range(0, trials, per_slice):
@@ -260,7 +252,9 @@ def coverage_experiment(
     intensity raises :class:`EstimationImpossibleError`.  ``method`` must
     be one of :data:`fluctuation.METHODS`.  An interval whose
     multiplicative-bound preconditions fail makes the run meaningless, so
-    it raises :class:`ChernoffInapplicableError` carrying the check.
+    every role's interval is built and checked in every trial, and the
+    first failing check (in trial order, then role order) raises
+    :class:`ChernoffInapplicableError` carrying it.
     """
     if not (100 <= trials < math.inf) or trials != int(trials):
         raise DomainError(f"need a whole number of at least 100 trials, got {trials}")
@@ -293,7 +287,8 @@ def coverage_experiment(
                 f"{roles[empty[0]][0]!r}"
             )
         for p_hat in (hits / frames).tolist():
-            covered += all(covers(k, p) for k, p in enumerate(p_hat))
+            # A list, not a generator: a miss must not skip later checks.
+            covered += all([covers(k, p) for k, p in enumerate(p_hat)])
     return covered / trials
 
 

@@ -36,7 +36,7 @@ from hdqkd.physics import (
     postselection_prob_closed,
     postselection_prob_series,
 )
-from hdqkd.scenario import parse_config
+from hdqkd.scenario import parse_config, preset_names
 
 
 def make_config(
@@ -86,8 +86,9 @@ class TestSimulateSession:
         assert all(c.coincidences <= c.frames for c in tally.cells.values())
 
     def test_every_frame_of_every_cell_counted(self):
-        # With certain dark counts every frame is a coincidence, so a
-        # pair-number bin that dropped or repeated frames would show.
+        # With certain dark counts every frame is a coincidence (P = 1 in
+        # every cell), so a cell whose binomial drew from another cell's
+        # frames or probability would show.
         tally = simulate_session(make_config(r_dc=1e12, n_pulses=10**12))
         assert sum(c.frames for c in tally.cells.values()) == 10**12
         assert all(c.coincidences == c.frames for c in tally.cells.values())
@@ -287,6 +288,20 @@ class TestCoverage:
         with pytest.raises(EstimationImpossibleError, match="no DD frames"):
             coverage_experiment(config, 0.01, "hoeffding", 100)
 
+    @pytest.mark.parametrize(
+        ("seed", "alpha_l"), [(78, "6.4769"), (210, "5.5648"), (309, "5.08632")]
+    )
+    def test_every_role_checked_in_every_trial(self, seed, alpha_l):
+        # At eps 0.9 one trial of each seed has an interval that misses
+        # before the v2 interval whose preconditions fail; the run must
+        # still raise, naming the first failing check.
+        scenario = parse_config("", preset="fig2c")
+        config = scenario.sim_config(0.0, seed, n_pulses=450_000)
+        with pytest.raises(ChernoffInapplicableError) as err:
+            coverage_experiment(config, 0.9, "chernoff", 100)
+        assert "'v2'" in str(err.value)
+        assert f"alpha_l={alpha_l})" in str(err.value)
+
     def test_every_trial_of_every_slice_counted(self, monkeypatch):
         # With certain dark counts every interval covers P = 1, so a
         # slice that dropped or repeated trials would move the fraction
@@ -361,13 +376,60 @@ class TestCoverage:
             assert 0.0 < fraction < 1.0
 
 
+class TestCoincidenceProbability:
+    """The oracle's own per-role probability (lgamma pmf over 64 pair-number
+    bins) against the postselection series, to 1e-12 relative; the
+    absolute tolerance only matters where P = 0."""
+
+    @staticmethod
+    def assert_matches_series(config: SimConfig) -> None:
+        s = config.scenario
+        got = montecarlo._coincidence_probabilities(config)
+        roles = s.intensities.roles()
+        assert len(got) == len(roles)
+        for p, (role, lam, _p) in zip(got, roles):
+            series = postselection_prob_series(
+                lam, s.phys.eta_alice, s.phys.eta_bob, config.channel.eta_t, s.frame.p_d
+            )
+            assert math.isclose(p, series, rel_tol=1e-12, abs_tol=1e-300), role
+
+    @pytest.mark.parametrize("preset", preset_names())
+    def test_every_preset(self, preset):
+        scenario = parse_config("", preset=preset)
+        for length in (0.0, 50.0, 150.0, 300.0):
+            config = scenario.sim_config(length, seed=1, n_pulses=10**6)
+            self.assert_matches_series(config)
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            # Multi-pair regime: about 60% of signal frames carry two or more.
+            make_config(length_km=20.0, mu=2.0, eta=0.5, p_t=0.3),
+            # Blind detectors without dark counts (P = 0) and certain dark
+            # counts (P = 1).
+            make_config(eta=0.0, r_dc=0.0),
+            make_config(r_dc=1e12),
+        ],
+        ids=["multi_pair", "p_d_0", "p_d_1"],
+    )
+    def test_edge_configs(self, config):
+        self.assert_matches_series(config)
+
+    def test_vacuum_decoy(self):
+        config = make_config(length_km=50.0)
+        vacuum = IntensityConfig.two_decoy(0.1, 0.05, 0.0, 0.7, 0.2)
+        config = replace(config, scenario=replace(config.scenario, intensities=vacuum))
+        self.assert_matches_series(config)
+
+
 class TestCountLevelSampler:
     def test_dd_coincidences_match_frame_level_sessions(self):
-        # The coverage experiment's one binomial per role (its P_role
-        # from the postselection series) and the sessions' pair-number
-        # multinomials (their pmf from lgamma) must agree in distribution,
-        # per role's DD coincidences, in the multi-pair regime where the
-        # Poisson mixture matters.
+        # Sessions and coverage draw at the same per-role probability,
+        # but through different cell draws: a session's nine-cell
+        # multinomial and binomial, and coverage's slice of the DD cells
+        # out of many trials' multinomials.  Per role, the DD
+        # coincidences must agree in distribution, so a slice that took
+        # the wrong pairing or role would show.
         config = make_config(length_km=20.0, mu=2.0, eta=0.5, n_pulses=20_000, p_t=0.3)
         trials = 1000
         roles = [role for role, _lam, _p in config.scenario.intensities.roles()]

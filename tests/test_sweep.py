@@ -9,6 +9,7 @@ import pytest
 from hdqkd import fluctuation, keyrate, physics, sweep
 from hdqkd.errors import DomainError
 from hdqkd.scenario import parse_config, preset_names
+from hdqkd.security import PINNED_DIMENSIONS, PINNED_ZETA_GRID
 from hdqkd.sweep import (
     CSV_HEADER,
     MAX_GRID_POINTS,
@@ -313,6 +314,44 @@ class TestMaxDistanceMatchesScan:
             if not d - 1.1 <= last <= d + 0.1:
                 disagreements.append((name, d, last))
         assert disagreements == []
+
+
+class TestRateDirection:
+    """r_hd = beta * i_ab - i_r + k * (i_r - phi_ub), so a lower bound on
+    the single-pair fraction k is conservative only where phi_ub <= i_r.
+    With beta * i_ab <= i_r, a positive capacity already forces that;
+    these tests state both halves on every preset row and grid node."""
+
+    @pytest.mark.parametrize("model", ["table", "gaussian"])
+    def test_rate_does_not_fall_as_k_rises_on_keyed_rows(self, model):
+        keyed, violations = 0, []
+        for name in preset_names():
+            base = parse_config(f"[security_model]\nmodel = {model}\n", preset=name)
+            d = base.phys.schmidt_d
+            for n_pulses in (1e10, 1e12, math.inf):
+                scenario = base.with_overrides(n_pulses=n_pulses)
+                for row in sweep_distance(scenario, 0.0, 300.0, 10.0):
+                    if not row.positive:
+                        continue
+                    keyed += 1
+                    sq = base.security_model.quantities(d, row.zeta_t_ub, row.zeta_w_ub)
+                    if not sq.phi_ub <= sq.i_r:
+                        violations.append((name, n_pulses, row.length_km, sq))
+        assert keyed > 0
+        assert violations == []
+
+    @pytest.mark.parametrize("model", ["table", "gaussian"])
+    def test_mutual_information_within_shared_bits(self, model):
+        model = parse_config(f"[security_model]\nmodel = {model}\n").security_model
+        violations = [
+            (d, zeta_t, zeta_w, sq.i_ab)
+            for d in PINNED_DIMENSIONS
+            for zeta_t in PINNED_ZETA_GRID
+            for zeta_w in PINNED_ZETA_GRID
+            for sq in [model.quantities(d, zeta_t, zeta_w)]
+            if not sq.i_ab <= sq.i_r + 1e-12
+        ]
+        assert violations == []
 
 
 class TestEmission:
