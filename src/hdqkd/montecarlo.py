@@ -24,17 +24,16 @@ over 64 pair-number bins, not by :func:`~hdqkd.physics.poisson_pmf` or
 a postselection series, and criterion 1 separately pins the closed form
 against the series to 1e-12.
 
-Coverage needs only each trial's estimation (DD) cells, so it draws step
-1 as one multinomial per trial and step 2 for the DD cells only, at the
-same ``P_role``.
-
-A session (:class:`SimConfig`) is a :class:`~hdqkd.scenario.Scenario`
-at one channel point, with its own pulse count and 64-bit seed; the seed
-fully determines the session's tally and a coverage run.
+One function draws both steps for any number of trials: a session is
+its single trial, and coverage repeats it and keeps each trial's
+estimation (DD) cells.  A session (:class:`SimConfig`) is a
+:class:`~hdqkd.scenario.Scenario` at one channel point, with its own
+pulse count and seed; the seed fully determines the draws.
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterator, Mapping
@@ -71,9 +70,10 @@ _MAX_PULSES = (1 << 63) - 1
 @dataclass(frozen=True)
 class SimConfig:
     """One simulated session: the scenario at one channel point, run for
-    ``n_pulses`` pulses from a 64-bit ``seed``.  Every other setting is the
-    scenario's, checked there; ``n_pulses`` must be a whole number in
-    [1, 2**63 - 1] (numpy's samplers take C longs) and is stored as an int.
+    ``n_pulses`` pulses from an integer ``seed`` (its low 64 bits key the
+    generator).  Every other setting is the scenario's, checked there;
+    ``n_pulses`` must be a whole number in [1, 2**63 - 1] (numpy's samplers
+    take C longs).  Both are stored as ints.
     The model statistics at the channel point
     (:func:`~hdqkd.decoy.expected_stats`) are built once per config and
     give both :meth:`analytic_postselection` and :func:`empirical_stats`.
@@ -92,6 +92,10 @@ class SimConfig:
                 f"simulation needs a finite integer n_pulses in [1, 2^63 - 1], got {n}"
             )
         object.__setattr__(self, "n_pulses", int(n))
+        try:
+            object.__setattr__(self, "seed", operator.index(self.seed))
+        except TypeError:
+            raise DomainError(f"seed must be an integer, got {self.seed!r}") from None
 
     @property
     def intensities(self) -> IntensityConfig:
@@ -140,18 +144,6 @@ class SessionTally:
         return cell.coincidences / cell.frames
 
 
-def _cell_probabilities(config: SimConfig) -> np.ndarray:
-    """Frame probability of every (role, pairing) cell, role-major."""
-    p_t = config.scenario.p_t
-    pairing_p = (p_t * p_t, (1.0 - p_t) ** 2, 2.0 * p_t * (1.0 - p_t))
-    cell_p = np.array(
-        [p * q for _, _, p in config.scenario.intensities.roles() for q in pairing_p]
-    )
-    # The roles' selection probabilities may sum to 1 +- 1e-9, and
-    # multinomial rejects cell probabilities whose sum exceeds 1.
-    return cell_p / cell_p.sum()
-
-
 def _pair_pmf(lam: float) -> list[float]:
     """Poisson pmf of the pair number (``0.0**0 == 1`` makes λ = 0 a point mass)."""
     pmf = [lam**n * math.exp(-lam - math.lgamma(n + 1)) for n in range(_PAIR_BINS - 1)]
@@ -175,6 +167,37 @@ def _coincidence_probabilities(config: SimConfig) -> list[float]:
     ]
 
 
+def _draws(
+    config: SimConfig, trials: int, pairing: str | None = None
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Draw ``trials`` independent sessions, the module's two steps each.
+
+    Yields ``(frames, coincidences)`` arrays with one row per trial, in
+    slices of at most ``_CHUNK`` cell counts to bound a long run's memory.
+    A row holds every (role, pairing) cell, role-major, or only the cells
+    of ``pairing`` in role order, and only a row's cells draw coincidences.
+    The config's seed fully determines the draws.
+    """
+    p_t = config.scenario.p_t
+    pairing_p = (p_t * p_t, (1.0 - p_t) ** 2, 2.0 * p_t * (1.0 - p_t))
+    roles = config.scenario.intensities.roles()
+    cell_p = np.array([p * q for _, _, p in roles for q in pairing_p])
+    # The roles' selection probabilities may sum to 1 +- 1e-9, and
+    # multinomial rejects cell probabilities whose sum exceeds 1.
+    cell_p /= cell_p.sum()
+    p_role = _coincidence_probabilities(config)
+    if pairing is None:
+        cells, p_cell = slice(None), np.repeat(p_role, len(PAIRINGS))
+    else:
+        cells, p_cell = slice(PAIRINGS.index(pairing), None, len(PAIRINGS)), p_role
+    rng = np.random.Generator(np.random.Philox(key=config.seed & _SEED_MASK))
+    per_slice = max(1, _CHUNK // cell_p.size)
+    for start in range(0, trials, per_slice):
+        k = min(per_slice, trials - start)
+        frames = rng.multinomial(config.n_pulses, cell_p, size=k)[:, cells]
+        yield frames, rng.binomial(frames, p_cell)
+
+
 def simulate_session(config: SimConfig) -> SessionTally:
     """Run one protocol session of ``n_pulses`` frames.
 
@@ -183,22 +206,17 @@ def simulate_session(config: SimConfig) -> SessionTally:
     parties' bases independently (key basis with probability ``p_t``),
     and each party detects independently given the pair number, with the
     per-frame dark-count probability filling in for lost photons.  A
-    coincidence is both parties detecting.  The draws follow the module's
-    two steps: one multinomial for the cell counts, then one binomial per
-    cell for its coincidences at its role's probability, so the cost does
-    not depend on ``n_pulses``.  Identical configs (seed included)
+    coincidence is both parties detecting.  The session is the single
+    trial of the module's two-step draw, with every cell, so the cost
+    does not depend on ``n_pulses``.  Identical configs (seed included)
     produce identical tallies.
     """
+    frames, hits = next(_draws(config, 1))
     roles = config.scenario.intensities.roles()
-    p_cell = np.repeat(_coincidence_probabilities(config), len(PAIRINGS))
-    rng = np.random.Generator(np.random.Philox(key=config.seed & _SEED_MASK))
-
-    frames = rng.multinomial(config.n_pulses, _cell_probabilities(config))
-    hits = rng.binomial(frames, p_cell)
     names = [(role, pairing) for role, _lam, _p in roles for pairing in PAIRINGS]
     cells = {
         name: CellCount(frames=count, coincidences=hit)
-        for name, count, hit in zip(names, frames.tolist(), hits.tolist())
+        for name, count, hit in zip(names, frames[0].tolist(), hits[0].tolist())
     }
     return SessionTally(config=config, cells=cells)
 
@@ -221,31 +239,13 @@ def empirical_stats(tally: SessionTally) -> dict[str, IntensityStats]:
     return stats
 
 
-def _estimation_counts(
-    config: SimConfig, trials: int
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield ``(k, roles)`` arrays of DD frames and coincidences per slice.
-
-    Slices of at most ``_CHUNK`` cell counts bound a long run's memory.
-    """
-    cell_p = _cell_probabilities(config)
-    p_role = _coincidence_probabilities(config)
-    rng = np.random.Generator(np.random.Philox(key=config.seed & _SEED_MASK))
-    per_slice = max(1, _CHUNK // cell_p.size)
-    for start in range(0, trials, per_slice):
-        k = min(per_slice, trials - start)
-        frames = rng.multinomial(config.n_pulses, cell_p, size=k)
-        frames = frames[:, PAIRINGS.index("DD") :: len(PAIRINGS)]
-        yield frames, rng.binomial(frames, p_role)
-
-
 def coverage_experiment(
     config: SimConfig, eps_pe: float, method: str, trials: int
 ) -> float:
     """Empirical coverage of the fluctuation intervals.
 
-    Draws the estimation cells of ``trials`` independent sessions at
-    count level (see the module docstring), builds the interval of the
+    Repeats the session draw ``trials`` times from the config's seed,
+    keeps each trial's estimation (DD) cells, builds the interval of the
     chosen method around each empirical postselection probability, and
     returns the fraction of sessions in which every intensity's interval
     contains the analytic value.  A session without DD frames for some
@@ -279,7 +279,7 @@ def coverage_experiment(
         return iv.p_minus <= p_true[k] <= iv.p_plus
 
     covered = 0
-    for frames, hits in _estimation_counts(config, trials):
+    for frames, hits in _draws(config, trials, "DD"):
         empty = np.flatnonzero(frames.min(axis=0) == 0)
         if empty.size:
             raise EstimationImpossibleError(

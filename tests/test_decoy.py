@@ -433,6 +433,121 @@ class TestWiderIntervalsNeverHelp:
                     prev = b
 
 
+#: Eve's yields Y_n and multipliers phi_n for n < 40; every larger pair
+#: number has yield 0, which is one more channel she may choose.
+PAIR_NUMBERS = 40
+
+
+@st.composite
+def adversarial_channels(draw):
+    """Yields that do not depend on the intensity, and per-basis multipliers.
+
+    Y_n (n >= 1) is channel-like, 1 - (1 - eta)^n (1 - p_d) with eta
+    log-uniform in [1e-6, 1], in 40% of draws, and otherwise arbitrary in
+    [0, 1] or in [0, eta].  Y_0 lies in [p_d^2, p_d], the trust box the
+    vacuum bounds assume.  phi_n is arbitrary in [0, 3] with phi_1 =
+    1 + zeta, zeta in [0, 2], per basis.  Returns ``(yields, (phi_t,
+    zeta_t), (phi_w, zeta_w))``, where ``yields(p_d)`` gives the Y_n.
+    """
+    kind = draw(st.sampled_from(("channel",) * 4 + ("any",) * 3 + ("below",) * 3))
+    eta = 10.0 ** draw(st.floats(-6.0, 0.0))
+    unit = draw(
+        st.lists(st.floats(0.0, 1.0), min_size=PAIR_NUMBERS, max_size=PAIR_NUMBERS)
+    )
+    y0_at = draw(st.floats(0.0, 1.0))
+    bases = []
+    for _basis in ("t", "w"):
+        phi = draw(
+            st.lists(st.floats(0.0, 3.0), min_size=PAIR_NUMBERS, max_size=PAIR_NUMBERS)
+        )
+        phi[1] = 1.0 + draw(st.floats(0.0, 2.0))
+        # The channel's zeta is the one its phi_1 holds: 1 + 1e-300 == 1.
+        bases.append((phi, phi[1] - 1.0))
+
+    def yields(p_d):
+        if kind == "channel":
+            y = [1.0 - (1.0 - eta) ** n * (1.0 - p_d) for n in range(PAIR_NUMBERS)]
+        else:
+            y = [u * (eta if kind == "below" else 1.0) for u in unit]
+        y[0] = min(p_d, p_d * p_d + y0_at * (p_d - p_d * p_d))
+        return y
+
+    return yields, *bases
+
+
+def slack(true):
+    """Tolerance of a bound on ``true``: 1e-12 relative, with an absolute
+    floor of 1e-14, which is what a true value of exactly 0 gets.  A bound
+    that a channel makes tight (no yield beyond n = 1, say) is a difference
+    of terms on the scale of the statistics, so its rounding is absolute:
+    about 1e-20 on a Y_0 near p_d, 1e-16 on kmu_lb."""
+    return max(1e-12 * abs(true), 1e-14)
+
+
+def zeta_slack(zeta, k):
+    """Tolerance of an excess-noise bound: 1e-12 relative to the single-pair
+    part ``k * (1 + zeta)`` of the multipliers, which the bound divides by
+    kmu_lb, so the rounding of the statistics grows as 1/k.  At k = 0 zeta
+    moves no statistic and nothing bounds it."""
+    return math.inf if k == 0.0 else 1e-12 * (1.0 + zeta) / k
+
+
+class TestSoundForEveryChannel:
+    """The decoy bounds hold for any yields Eve chooses that do not depend
+    on the intensity, not only at the model's lossy channel (Hwang 2003;
+    Lo, Ma & Chen 2005): at the exact statistics, and with intervals that
+    cover the true postselection probabilities."""
+
+    # The distinct (intensities, p_d) pairs of all presets.
+    CONFIGS = list(
+        dict.fromkeys(
+            (s.intensities, s.frame.p_d)
+            for s in (parse_config("", preset=name) for name in preset_names())
+        )
+    )
+
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    @given(
+        channel=adversarial_channels(),
+        # Per role: interval width as a fraction of P (up to 50%), and the
+        # share of it below P.
+        widths=st.lists(
+            st.tuples(st.floats(0.0, 0.5), st.floats(0.0, 1.0)), min_size=3, max_size=3
+        ),
+    )
+    def test_every_preset_intensity_set(self, channel, widths):
+        yields, (phi_t, zeta_t), (phi_w, zeta_w) = channel
+        for cfg, p_d in self.CONFIGS:
+            y = yields(p_d)
+            exact, covering = {}, {}
+            for (role, lam, _p), (width, below) in zip(cfg.roles(), widths):
+                weights = [
+                    math.exp(-lam) * lam**n / math.factorial(n) * y_n
+                    for n, y_n in enumerate(y)
+                ]
+                # Rounding may put the sum an ulp above 1.
+                p = min(1.0, math.fsum(weights))
+                phi = [
+                    math.fsum(w * f for w, f in zip(weights, basis)) / p
+                    for basis in (phi_t, phi_w)
+                ]
+                exact[role] = IntensityStats(p, p, p, *phi)
+                p_minus = p * (1.0 - below * width)
+                p_plus = min(1.0, p * (1.0 + (1.0 - below) * width))
+                covering[role] = IntensityStats(p, p_minus, p_plus, *phi)
+            mu = cfg.mu
+            k_true = mu * math.exp(-mu) * y[1] / exact["mu"].p_post
+            for stats in (exact, covering):
+                b = estimate_bounds(stats, cfg, p_d)
+                where = (cfg, stats)
+                assert b.kmu_lb <= k_true + slack(k_true), where
+                assert b.gamma1_lb <= y[1] + slack(y[1]), where
+                assert b.gamma0_lb <= y[0] + slack(y[0]), where
+                assert y[0] <= b.gamma0_ub + slack(y[0]), where
+                assert b.zeta_t_ub >= zeta_t - zeta_slack(zeta_t, k_true), where
+                assert b.zeta_w_ub >= zeta_w - zeta_slack(zeta_w, k_true), where
+
+
 class TestEstimateBounds:
     def test_two_decoy_pipeline(self, default_phys, default_frame):
         stats = exact_stats(TWO, default_phys, default_frame, 30.0)

@@ -103,6 +103,33 @@ class TestSimulateSession:
         with pytest.raises(DomainError, match="n_pulses"):
             replace(make_config(), n_pulses=n_pulses)
 
+    @pytest.mark.parametrize("seed", [1.5, "7", None])
+    def test_seed_must_be_integer(self, seed):
+        # Checked with the config, not when the generator is keyed.
+        with pytest.raises(DomainError, match="seed"):
+            replace(make_config(), seed=seed)
+
+    def test_numpy_integer_seed_stored_as_int(self):
+        config = replace(make_config(), seed=np.uint64(2**64 - 1))
+        assert type(config.seed) is int and config.seed == 2**64 - 1
+        assert simulate_session(config).cells == simulate_session(
+            replace(config, seed=-1)
+        ).cells
+
+    def test_session_is_the_single_trial_of_the_draw(self):
+        # A session is the draw with one trial and every cell.  The DD
+        # selection keeps the same frame counts and draws coincidences for
+        # the DD cells only (TestCountLevelSampler compares those).
+        config = make_config()
+        tally = simulate_session(config)
+        ((frames, hits),) = montecarlo._draws(config, 1)
+        assert frames.tolist() == [[c.frames for c in tally.cells.values()]]
+        assert hits.tolist() == [[c.coincidences for c in tally.cells.values()]]
+        ((frames, _hits),) = montecarlo._draws(config, 3)
+        ((dd_frames, _hits),) = montecarlo._draws(config, 3, "DD")
+        dd = PAIRINGS.index("DD")
+        assert (dd_frames == frames[:, dd :: len(PAIRINGS)]).all()
+
     def test_blind_detectors_no_dark_counts(self):
         config = make_config(eta=0.0, r_dc=0.0)
         tally = simulate_session(config)
@@ -360,7 +387,7 @@ class TestCoverage:
             for _role, lam, _p in roles
         ]
         covered = 0
-        for frames, hits in montecarlo._estimation_counts(config, trials):
+        for frames, hits in montecarlo._draws(config, trials, "DD"):
             for f_row, h_row in zip(frames.tolist(), hits.tolist()):
                 trial_ok = True
                 for f, h, (_role, _lam, p_sel), p in zip(f_row, h_row, roles, p_true):
@@ -424,12 +451,11 @@ class TestCoincidenceProbability:
 
 class TestCountLevelSampler:
     def test_dd_coincidences_match_frame_level_sessions(self):
-        # Sessions and coverage draw at the same per-role probability,
-        # but through different cell draws: a session's nine-cell
-        # multinomial and binomial, and coverage's slice of the DD cells
-        # out of many trials' multinomials.  Per role, the DD
-        # coincidences must agree in distribution, so a slice that took
-        # the wrong pairing or role would show.
+        # A session is the single trial of the one draw, with every cell,
+        # and coverage keeps the DD cells of many trials of it.  Per role,
+        # the DD coincidences of full sessions (one seed each) and of that
+        # selection (one seed for all trials) must agree in distribution,
+        # so a selection that took the wrong pairing or role would show.
         config = make_config(length_km=20.0, mu=2.0, eta=0.5, n_pulses=20_000, p_t=0.3)
         trials = 1000
         roles = [role for role, _lam, _p in config.scenario.intensities.roles()]
@@ -441,7 +467,7 @@ class TestCountLevelSampler:
             [[tally.coincidences(role, "DD") for role in roles] for tally in sessions]
         )
         count_level = np.concatenate(
-            [hits for _frames, hits in montecarlo._estimation_counts(config, trials)]
+            [hits for _frames, hits in montecarlo._draws(config, trials, "DD")]
         )
         assert count_level.shape == frame_level.shape
         for a, b in zip(frame_level.T, count_level.T):
